@@ -14,11 +14,16 @@ O(V+-)(q) are provided in closed form, cross-checked against numerically
 computed character tables, and fed into multiplicity sums that verify the
 rank-one theta pattern: a regular nonsplit-torus character lifts with
 multiplicity one to the anisotropic pair and vanishes on the split pair.
+
+The Weyl-form checks close matrix groups over F_q breadth-first on exact
+integer codes of their elements, and find torus normalizers by the
+inverse-free test g t = t' g: one exact pass, with no matrix inverse.
 """
 
 from __future__ import annotations
 
 import cmath
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -721,83 +726,77 @@ def decomposition_dimension_check(q: int, variant: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Weyl-group form validation by brute-force normalizers
+# Weyl-group form validation by brute-force normalizers.  Elements are small-int
+# numpy matrices keyed by the exact code sum_k entry_k q^k of their entries
+# (< q^16 < 2^63 for 4 x 4 at q <= 5); the closure is a level-at-a-time BFS on
+# codes, and g normalizes T = <t_1> iff g t_1 = t_j g, j being its multiplier.
+
+
+def _codes(mats, q):
+    flat = np.asarray(mats).reshape(len(mats), -1)
+    codes = np.zeros(len(flat), dtype=np.int64)
+    for col in flat.T[::-1]:
+        codes = codes * q + col
+    return codes
 
 
 def _mulclose(gens, q, limit=10**7):
-    seen = {_identity(len(gens[0]))}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for g in gens:
-                new = _matmul(g, cur, q)
-                if new not in seen:
-                    seen.add(new)
-                    nxt.append(new)
-        frontier = nxt
+    """The group generated by gens, as an int8 array of its elements in
+    breadth-first order, identity first."""
+    gens = np.asarray(gens, dtype=np.int16)
+    frontier = np.eye(gens.shape[-1], dtype=np.int8)[None]
+    levels, seen = [frontier], _codes(frontier, q)
+    while len(frontier):
+        prods, prod_codes = [], []
+        for g in gens:
+            prod = (g @ frontier % q).astype(np.int8)
+            codes = _codes(prod, q)
+            new = ~np.isin(codes, seen, assume_unique=True)
+            prods.append(prod[new])
+            prod_codes.append(codes[new])
+        codes, first = np.unique(np.concatenate(prod_codes), return_index=True)
+        frontier = np.concatenate(prods)[first]
+        levels.append(frontier)
+        seen = np.concatenate([seen, codes])
         if len(seen) > limit:
             raise VerificationFailure("closure exceeded the size limit")
-    return seen
+    return np.concatenate(levels)
+
+
+def normalizer_exponent_actions(group, torus_elements, q) -> Counter:
+    """The exponent maps j -> a*j induced on the cyclic torus, listed as the
+    powers of torus_elements[1], by its normalizer in group: each multiplier
+    a mod the torus order with the number of normalizer elements inducing
+    it, so the counts sum to the normalizer order."""
+    group = np.asarray(group, dtype=np.int16)
+    torus = np.asarray(torus_elements, dtype=np.int16)
+    lhs = _codes(group @ torus[1] % q, q)
+    mult = np.full(len(group), -1)
+    for a, t in enumerate(torus):
+        mult[_codes(t @ group % q, q) == lhs] = a
+    return Counter(mult[mult >= 0].tolist())
 
 
 def torus_normalizer_order(group, torus_elements, q) -> int:
-    tset = set(torus_elements)
-    gen = torus_elements[1]
-    count = 0
-    for g in group:
-        gi = _mat_inverse(g, q)
-        if _matmul(_matmul(g, gen, q), gi, q) in tset:
-            count += 1
-    return count
-
-
-def normalizer_exponent_actions(group, torus_elements, q):
-    """The exponent maps j -> a*j induced on the cyclic torus by its
-    normalizer, as a set of multipliers a mod the torus order."""
-    tset = {t: j for j, t in enumerate(torus_elements)}
-    n = len(torus_elements)
-    gen = torus_elements[1]
-    actions = set()
-    for g in group:
-        gi = _mat_inverse(g, q)
-        img = _matmul(_matmul(g, gen, q), gi, q)
-        if img in tset:
-            actions.add(tset[img] % n)
-    return actions
+    return sum(normalizer_exponent_actions(group, torus_elements, q).values())
 
 
 def validate_weyl_form_rank1(q: int) -> dict:
     """In SL2(q) and both O(V)(q): the normalizer of the nonsplit torus has
     index-two image (order 2m with m = 1), acting by the signed Frobenius
     powers {1, q} on exponents."""
-    out = {}
     pair = dual_pair(q, "-")
-    sp = set(pair.sp_elements)
-    rot = list(pair.rotations)
-    n_order = torus_normalizer_order(sp, rot, q)
-    actions = normalizer_exponent_actions(sp, rot, q)
-    out["sl2"] = {
-        "weyl_order": n_order // len(rot),
-        "actions": sorted(actions),
-        "expected_actions": sorted({1 % (q + 1), q % (q + 1)}),
-    }
-    o = set(pair.o_elements)
-    n_order_o = torus_normalizer_order(o, rot, q)
-    actions_o = normalizer_exponent_actions(o, rot, q)
-    out["o2"] = {
-        "weyl_order": n_order_o // len(rot),
-        "actions": sorted(actions_o),
-        "expected_actions": sorted({1 % (q + 1), q % (q + 1)}),
-    }
-    ok = (
-        out["sl2"]["weyl_order"] == 2
-        and out["o2"]["weyl_order"] == 2
-        and out["sl2"]["actions"] == out["sl2"]["expected_actions"]
-        and out["o2"]["actions"] == out["o2"]["expected_actions"]
-    )
-    out["ok"] = ok
-    if not ok:
+    expected = sorted({1 % (q + 1), q % (q + 1)})
+    out = {}
+    for name, group in (("sl2", pair.sp_elements), ("o2", pair.o_elements)):
+        actions = normalizer_exponent_actions(group, pair.rotations, q)
+        out[name] = {
+            "weyl_order": sum(actions.values()) // len(pair.rotations),
+            "actions": sorted(actions),
+            "expected_actions": expected,
+        }
+    out["ok"] = all(out[k]["weyl_order"] == 2 and out[k]["actions"] == expected for k in out)
+    if not out["ok"]:
         raise VerificationFailure(f"rank-one Weyl validation failed: {out}")
     return out
 
@@ -846,8 +845,8 @@ def _torus_matrices_in_sp4(q: int):
     return torus, gram
 
 
-def _sp4_group(q: int, gram):
-    """Sp4(q) by closure from symplectic transvections x -> x + <x, v> v."""
+def _sp4_transvections(q: int, gram):
+    """Generators of Sp4(q): symplectic transvections x -> x + <x, v> v."""
     def form(u, v):
         return sum(gram[i][j] * u[i] * v[j] for i in range(4) for j in range(4)) % q
 
@@ -860,7 +859,7 @@ def _sp4_group(q: int, gram):
             w = tuple((e[i] + form(e, v) * v[i]) % q for i in range(4))
             cols.append(w)
         gens.append(tuple(tuple(cols[j][i] for j in range(4)) for i in range(4)))
-    return _mulclose(gens, q)
+    return gens
 
 
 def validate_weyl_form_rank2(q: int = 3) -> dict:
@@ -868,15 +867,15 @@ def validate_weyl_form_rank2(q: int = 3) -> dict:
     the relative Weyl group is cyclic of order 4, acting on exponents by
     powers of q mod q^2 + 1."""
     torus, gram = _torus_matrices_in_sp4(q)
-    group = _sp4_group(q, gram)
+    group = _mulclose(_sp4_transvections(q, gram), q)
     expected_order = q**4 * (q**2 - 1) * (q**4 - 1)
     if len(group) != expected_order:
         raise VerificationFailure(f"|Sp4({q})| = {len(group)} != {expected_order}")
-    if not set(torus) <= group:
+    if not np.isin(_codes(torus, q), _codes(group, q)).all():
         raise VerificationFailure("the torus does not sit inside the generated group")
     n = len(torus)
-    n_order = torus_normalizer_order(group, torus, q)
     actions = normalizer_exponent_actions(group, torus, q)
+    n_order = sum(actions.values())
     expected = sorted({pow(q, j, n) for j in range(4)})
     out = {
         "group_order": len(group),

@@ -6,16 +6,24 @@ import pytest
 from thetaparam.finitetheta import (
     ClassFunction,
     NotGeneralPositionFinite,
+    VerificationFailure,
+    _mat_inverse,
     _matmul,
+    _mulclose,
+    _sl2_elements,
+    _sp4_transvections,
+    _torus_matrices_in_sp4,
     build_weil_rep,
     decomposition_dimension_check,
     dl_regular_character,
     dual_pair,
+    normalizer_exponent_actions,
     numerical_character_table,
     o2_induced_character,
     o2_irreducibles,
     sl2_regular_exponents,
     theta_multiplicity,
+    torus_normalizer_order,
     validate_weyl_form_rank1,
     validate_weyl_form_rank2,
     verify_finite_theta,
@@ -86,19 +94,18 @@ def test_weil_rep_multiplicativity_sampled_q5():
         gi2 = rng.integers(0, len(sp_keys), n)
         hi1 = rng.integers(0, len(o_keys), n)
         hi2 = rng.integers(0, len(o_keys), n)
-        prod_idx_g = np.array(
-            [sp_keys.index(_matmul(sp_keys[a], sp_keys[b], q)) for a, b in zip(gi1, gi2)]
-        )
-        prod_idx_h = np.array(
-            [o_keys.index(_matmul(o_keys[a], o_keys[b], q)) for a, b in zip(hi1, hi2)]
-        )
+        # index of every product, looked up by key once per pair of elements
+        sp_index = {k: i for i, k in enumerate(sp_keys)}
+        o_index = {k: i for i, k in enumerate(o_keys)}
+        sp_table = np.array([[sp_index[_matmul(a, b, q)] for b in sp_keys] for a in sp_keys])
+        o_table = np.array([[o_index[_matmul(a, b, q)] for b in o_keys] for a in o_keys])
+        prod_idx_g = sp_table[gi1, gi2]
+        prod_idx_h = o_table[hi1, hi2]
         chunk = 4000
         for lo in range(0, n, chunk):
             hi = min(lo + chunk, n)
-            lhs = np.einsum(
-                "kij,kjl->kil",
-                sp_stack[gi1[lo:hi]] @ o_stack[hi1[lo:hi]],
-                sp_stack[gi2[lo:hi]] @ o_stack[hi2[lo:hi]],
+            lhs = (sp_stack[gi1[lo:hi]] @ o_stack[hi1[lo:hi]]) @ (
+                sp_stack[gi2[lo:hi]] @ o_stack[hi2[lo:hi]]
             )
             rhs = sp_stack[prod_idx_g[lo:hi]] @ o_stack[prod_idx_h[lo:hi]]
             assert np.max(np.abs(lhs - rhs)) < 1e-6
@@ -293,10 +300,67 @@ def test_weyl_form_rank1(q):
 
 def test_weyl_form_rank2_sp4():
     """Brute-force normalizer in Sp4(3): |W| = 4 with exponent actions the
-    powers of q mod q^2 + 1.  (Sp4(5) has 9.36 * 10^6 elements and is left
-    out; the q = 5 form is covered at rank one.)"""
+    powers of q mod q^2 + 1.  Sp4(5) is left out for memory: its 9.36 * 10^6
+    elements take 150 MB as int8 matrices and 75 MB per array of int64
+    codes, and the normalizer pass holds them again as int16 (300 MB) next
+    to each product t_j g and its reduction mod q (600 MB), an estimated
+    1.2 GB at peak.  The q = 5 form is covered at rank one."""
     out = validate_weyl_form_rank2(3)
     assert out["ok"]
     assert out["group_order"] == 51840
     assert out["weyl_order"] == 4
     assert out["actions"] == [1, 3, 7, 9]
+
+
+# -- integer-coded closure and normalizer against brute force
+
+
+def _keys(mats):
+    return {tuple(map(tuple, m)) for m in np.asarray(mats).tolist()}
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_mulclose_sl2_matches_enumeration(q):
+    gens = [((0, 1), (q - 1, 0)), ((1, 1), (0, 1))]
+    group = _mulclose(gens, q)
+    assert len(group) == q * (q * q - 1)
+    assert _keys(group) == set(_sl2_elements(q))
+
+
+def _conjugation_oracle(group, torus, q):
+    index = {t: j for j, t in enumerate(torus)}
+    actions = {}
+    for g in group:
+        img = _matmul(_matmul(g, torus[1], q), _mat_inverse(g, q), q)
+        if img in index:
+            actions[index[img]] = actions.get(index[img], 0) + 1
+    return actions
+
+
+@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("group_name", ["sl2", "o2+", "o2-"])
+def test_normalizer_matches_conjugation_oracle(q, group_name):
+    variant = "+" if group_name == "o2+" else "-"
+    pair = dual_pair(q, variant)
+    group = pair.sp_elements if group_name == "sl2" else pair.o_elements
+    torus = list(pair.rotations)
+    expected = _conjugation_oracle(group, torus, q)
+    actions = normalizer_exponent_actions(group, torus, q)
+    assert dict(actions) == expected
+    assert all(type(a) is int and type(c) is int for a, c in actions.items())
+    assert torus_normalizer_order(group, torus, q) == sum(expected.values())
+
+
+def test_sp4_closure_preserves_gram():
+    q = 3
+    _, gram = _torus_matrices_in_sp4(q)
+    group = _mulclose(_sp4_transvections(q, gram), q).astype(np.int64)
+    j = np.array(gram, dtype=np.int64) % q
+    assert len(group) == 51840
+    assert np.array_equal(np.swapaxes(group, 1, 2) @ j @ group % q, np.broadcast_to(j, group.shape))
+
+
+def test_mulclose_limit():
+    _, gram = _torus_matrices_in_sp4(3)
+    with pytest.raises(VerificationFailure):
+        _mulclose(_sp4_transvections(3, gram), 3, limit=1000)
