@@ -32,7 +32,6 @@ from .localfield import (
     factor_field,
 )
 from .finitefield import fq_embedding
-from .quadform import QuadInvariants
 from .theta import (
     DistinctionWitness,
     distinction_transport,
@@ -40,10 +39,13 @@ from .theta import (
     e_descriptor,
     lift,
     parity_predict,
+    validate_for_lift,
+    witness_violations,
 )
 from .torusdata import (
     Factor,
     TorusDatum,
+    ValidationReport,
     block_decompose,
     datum_equivalent,
     validate,
@@ -86,11 +88,16 @@ def load_document(path: str) -> tuple[dict, str]:
 
 def parse_datum(doc: dict):
     """Build the in-memory datum; with a distinction block the datum lives
-    over E and a witness is returned as well."""
+    over E and a witness is returned as well.  Input that would have to be
+    truncated or reinterpreted raises DomainError instead."""
     base_f = base_field(doc["base"]["p"], doc["base"]["f"])
     distinction = doc.get("distinction")
     base = e_descriptor(base_f) if distinction else base_f
     structures = (distinction or {}).get("F_structure") or []
+    if len(structures) > len(doc["factors"]):
+        raise DomainError(
+            f"F_structure has {len(structures)} entries for {len(doc['factors'])} factors"
+        )
     factors = []
     for i, fdoc in enumerate(doc["factors"]):
         field = factor_field(base, fdoc["m"], fdoc["step"])
@@ -98,14 +105,21 @@ def parse_datum(doc: dict):
         struct = structures[i] if i < len(structures) else {}
         cdoc = fdoc["c"]
         c_sigma = cdoc.get("sigma_sym") or struct.get("sigma_c") or SYM_NONE
-        c = LeadingTerm(field, cdoc["val"], k.element(cdoc["residue_coeffs"]), cdoc["sym"], c_sigma)
+        c_res = _residue(k, cdoc["residue_coeffs"], f"factor {i}: c")
+        c = LeadingTerm(field, cdoc["val"], c_res, cdoc["sym"], c_sigma)
         gammas = []
         gsigmas = struct.get("sigma_gamma") or []
         for j, gdoc in enumerate(fdoc.get("gamma") or []):
-            r = Fraction(gdoc["r"])
+            tag = f"factor {i}: gamma r = {gdoc['r']}"
+            try:
+                r = Fraction(gdoc["r"])
+            except ZeroDivisionError:
+                raise DomainError(f"{tag} has a zero denominator") from None
+            if (r * field.e).denominator != 1:
+                raise DomainError(f"{tag} is not in (1/{field.e})Z, the value group of L")
             gs = gdoc.get("sigma_sym") or (gsigmas[j] if j < len(gsigmas) else SYM_NONE)
-            g = LeadingTerm(field, -int(r * field.e), k.element(gdoc["residue_coeffs"]), SYM_ANTI, gs)
-            gammas.append((r, g))
+            g_res = _residue(k, gdoc["residue_coeffs"], tag)
+            gammas.append((r, LeadingTerm(field, -int(r * field.e), g_res, SYM_ANTI, gs)))
         factors.append(Factor(fdoc["m"], fdoc["step"], c, fdoc.get("chi0", 0), tuple(gammas)))
     datum = TorusDatum(base, tuple(factors), doc["polarity"])
     witness = DistinctionWitness(base_f, datum) if distinction else None
@@ -141,6 +155,12 @@ def datum_to_json(datum: TorusDatum, base_is_e: bool = False) -> dict:
     return out
 
 
+def _residue(k, coeffs: list, tag: str):
+    if len(coeffs) > k.f:
+        raise DomainError(f"{tag}: {len(coeffs)} residue coefficients for a field of degree {k.f}")
+    return k.element(coeffs)
+
+
 def _lt_to_json(lt: LeadingTerm) -> dict:
     doc = {"val": lt.val, "residue_coeffs": list(lt.residue.coeffs), "sym": lt.sym}
     if lt.sigma_sym != SYM_NONE:
@@ -150,10 +170,6 @@ def _lt_to_json(lt: LeadingTerm) -> dict:
 
 def _frac_str(r: Fraction) -> str:
     return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
-
-
-def _inv_json(inv: QuadInvariants) -> dict:
-    return inv.as_dict()
 
 
 def seeded_choices(datum: TorusDatum, seed: int):
@@ -198,7 +214,7 @@ def _report(operation: str, digest: str | None, payload: dict) -> dict:
 def cmd_validate(args) -> tuple[dict, int]:
     doc, digest = load_document(args.path)
     datum, witness = parse_datum(doc)
-    report = validate(datum)
+    report = ValidationReport(witness_violations(witness)) if witness else validate(datum)
     payload = {"result": report.as_dict()}
     return _report("validate", digest, payload), 0 if report.ok else 1
 
@@ -214,8 +230,8 @@ def cmd_lift(args) -> tuple[dict, int]:
     payload = {
         "result": {
             "lifted": datum_to_json(res.lifted),
-            "invariants": _inv_json(res.target_invariants),
-            "predicted_invariants": _inv_json(res.predicted_invariants),
+            "invariants": res.target_invariants.as_dict(),
+            "predicted_invariants": res.predicted_invariants.as_dict(),
             "so_type": res.so.as_dict(),
         },
         "choices": res.choices,
@@ -226,8 +242,9 @@ def cmd_lift(args) -> tuple[dict, int]:
 def cmd_predict(args) -> tuple[dict, int]:
     doc, digest = load_document(args.path)
     datum, _ = parse_datum(doc)
+    validate_for_lift(datum)
     inv, so = parity_predict(datum)
-    payload = {"result": {"invariants": _inv_json(inv), "so_type": so.as_dict()}}
+    payload = {"result": {"invariants": inv.as_dict(), "so_type": so.as_dict()}}
     return _report("predict", digest, payload), 0
 
 
@@ -268,9 +285,9 @@ def cmd_transport(args) -> tuple[dict, int]:
     payload = {
         "result": {
             "twisted_datum_over_E": datum_to_json(res.twisted_datum_e, base_is_e=True),
-            "invariants_over_E": _inv_json(res.invariants_e),
+            "invariants_over_E": res.invariants_e.as_dict(),
             "f_structure": datum_to_json(res.f_datum),
-            "invariants_over_F": _inv_json(res.invariants_f),
+            "invariants_over_F": res.invariants_f.as_dict(),
             "so_type_over_F": res.so_f.as_dict(),
             "checks": res.checks,
         },

@@ -122,6 +122,15 @@ def _poly_gcd(a, b, p):
     return a
 
 
+def _digits(k: int, p: int, n: int) -> list:
+    """The n base-p digits of k, least significant first."""
+    out = []
+    for _ in range(n):
+        k, d = divmod(k, p)
+        out.append(d)
+    return out
+
+
 def _prime_factors(n: int):
     out = []
     d = 2
@@ -191,14 +200,8 @@ class FqDescriptor:
 
     def elements(self):
         """All p^f elements in lexicographic coefficient order (c0 fastest)."""
-        n = self.order
-        for k in range(n):
-            coeffs = []
-            m = k
-            for _ in range(self.f):
-                coeffs.append(m % self.p)
-                m //= self.p
-            yield self.element(coeffs)
+        for k in range(self.order):
+            yield self.element(_digits(k, self.p, self.f))
 
     def __repr__(self):
         return f"F_{self.p}^{self.f}"
@@ -212,12 +215,7 @@ def fq_make(p: int, f: int, bound: int = DEFAULT_SIZE_BOUND) -> FqDescriptor:
     if f < 1 or p**f > bound:
         raise DegreeTooLarge(f"p^f = {p}**{f} exceeds bound {bound}")
     for k in range(p**f):
-        coeffs = []
-        m = k
-        for _ in range(f):
-            coeffs.append(m % p)
-            m //= p
-        modulus = tuple(coeffs) + (1,)
+        modulus = tuple(_digits(k, p, f)) + (1,)
         if _is_irreducible(modulus, p):
             return FqDescriptor(p, f, modulus)
     raise DegreeTooLarge("no irreducible modulus found")  # unreachable
@@ -312,11 +310,6 @@ def fq_legendre(a: int, p: int) -> int:
     return 1 if pow(a % p, (p - 1) // 2, p) == 1 else -1
 
 
-def fq_legendre_element(x: FqElement) -> int:
-    """+1 / -1 according to fq_is_square."""
-    return 1 if fq_is_square(x) else -1
-
-
 @lru_cache(maxsize=None)
 def fq_multiplicative_generator(field: FqDescriptor) -> FqElement:
     """First element (coefficient-lex order) of multiplicative order q - 1."""
@@ -391,6 +384,17 @@ def fq_sqrt(x: FqElement) -> FqElement:
 # embeddings
 
 
+def _evaluate(coeffs, x: FqElement) -> FqElement:
+    """sum_k coeffs[k] x^k for integer coefficients, in the field of x."""
+    acc = x.field.zero()
+    power = x.field.one()
+    for c in coeffs:
+        if c:
+            acc = acc + c * power
+        power = power * x
+    return acc
+
+
 @dataclass(frozen=True)
 class FqEmbedding:
     """A ring embedding F_{p^a} -> F_{p^b} (a | b), via the image of x."""
@@ -402,13 +406,7 @@ class FqEmbedding:
     def apply(self, x: FqElement) -> FqElement:
         if x.field != self.source:
             raise DomainError("element not in the source field")
-        acc = self.target.zero()
-        power = self.target.one()
-        for c in x.coeffs:
-            if c:
-                acc = acc + c * power
-            power = power * self.image_of_generator
-        return acc
+        return _evaluate(x.coeffs, self.image_of_generator)
 
     def pullback(self, y: FqElement) -> FqElement:
         """Inverse on the image; raises if y is not in the embedded subfield."""
@@ -422,37 +420,37 @@ class FqEmbedding:
         for _ in range(a):
             cols.append(list(power.coeffs))
             power = power * self.image_of_generator
-        sol = _solve_mod_p(cols, list(y.coeffs), p, b, a)
-        if sol is None:
+        # solve sum_j sol[j] * cols[j] = y over F_p
+        aug, pivots = _row_reduce_mod_p(
+            [[col[i] for col in cols] + [y.coeffs[i]] for i in range(b)], p, a
+        )
+        if any(row[a] for row in aug[len(pivots):]):
             raise DomainError("element is not in the embedded subfield")
+        sol = [0] * a
+        for col, r in pivots.items():
+            sol[col] = aug[r][a]
         return self.source.element(sol)
 
 
-def _solve_mod_p(cols, rhs, p, nrows, ncols):
-    # solve sum_j sol[j] * cols[j] = rhs over F_p; None if inconsistent
-    aug = [[cols[j][i] % p for j in range(ncols)] + [rhs[i] % p] for i in range(nrows)]
-    pivots = []
-    row = 0
+def _row_reduce_mod_p(rows, p, ncols):
+    """Reduced row echelon form over F_p, pivoting in the first ncols
+    columns; returns the reduced rows and {pivot column: row index}."""
+    aug = [[v % p for v in row] for row in rows]
+    pivots = {}
     for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if aug[r][col]), None)
+        top = len(pivots)
+        piv = next((r for r in range(top, len(aug)) if aug[r][col]), None)
         if piv is None:
             continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = pow(aug[row][col], p - 2, p)
-        aug[row] = [(v * inv) % p for v in aug[row]]
-        for r in range(nrows):
-            if r != row and aug[r][col]:
+        aug[top], aug[piv] = aug[piv], aug[top]
+        inv = pow(aug[top][col], p - 2, p)
+        aug[top] = [(v * inv) % p for v in aug[top]]
+        for r in range(len(aug)):
+            if r != top and aug[r][col]:
                 factor = aug[r][col]
-                aug[r] = [(aug[r][k] - factor * aug[row][k]) % p for k in range(ncols + 1)]
-        pivots.append(col)
-        row += 1
-    for r in range(row, nrows):
-        if aug[r][ncols]:
-            return None
-    sol = [0] * ncols
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][ncols]
-    return sol
+                aug[r] = [(v - factor * w) % p for v, w in zip(aug[r], aug[top])]
+        pivots[col] = top
+    return aug, pivots
 
 
 @lru_cache(maxsize=None)
@@ -477,56 +475,22 @@ def fq_embedding(source: FqDescriptor, target: FqDescriptor) -> FqEmbedding:
         shifted[k] = (shifted[k] - 1) % p
         cols.append(shifted)
         power = power * xp
-    kernel = _kernel_mod_p([[cols[j][i] for j in range(b)] for i in range(b)], p, b, b)
+    aug, pivots = _row_reduce_mod_p([[cols[j][i] for j in range(b)] for i in range(b)], p, b)
+    kernel = []
+    for free in (c for c in range(b) if c not in pivots):
+        vec = [0] * b
+        vec[free] = 1
+        for col, r in pivots.items():
+            vec[col] = (-aug[r][free]) % p
+        kernel.append(vec)
     # scan F_p-combinations of the kernel basis for a root of the source modulus
     dim = len(kernel)
     assert dim == a
     for k in range(p**dim):
-        coeffs = []
-        m = k
-        for _ in range(dim):
-            coeffs.append(m % p)
-            m //= p
+        coeffs = _digits(k, p, dim)
         cand = target.element(
             [sum(coeffs[j] * kernel[j][i] for j in range(dim)) % p for i in range(b)]
         )
-        # evaluate source modulus at cand
-        acc = target.zero()
-        power = target.one()
-        for c in source.modulus:
-            if c:
-                acc = acc + c * power
-            power = power * cand
-        if acc.is_zero():
-            emb = FqEmbedding(source, target, cand)
-            return emb
+        if _evaluate(source.modulus, cand).is_zero():
+            return FqEmbedding(source, target, cand)
     raise DomainError("embedding root not found")  # unreachable
-
-
-def _kernel_mod_p(matrix, p, nrows, ncols):
-    # kernel basis (list of length-ncols vectors) of matrix over F_p
-    aug = [row[:] for row in matrix]
-    pivots = {}
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if aug[r][col]), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = pow(aug[row][col], p - 2, p)
-        aug[row] = [(v * inv) % p for v in aug[row]]
-        for r in range(nrows):
-            if r != row and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [(aug[r][k] - factor * aug[row][k]) % p for k in range(ncols)]
-        pivots[col] = row
-        row += 1
-    basis = []
-    free = [c for c in range(ncols) if c not in pivots]
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for col, r in pivots.items():
-            vec[col] = (-aug[r][fc]) % p
-        basis.append(vec)
-    return basis

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import DomainError
 from .finitefield import (
+    fq_legendre,
     fq_make,
     fq_multiplicative_generator,
     fq_norm1_generator,
@@ -55,10 +56,6 @@ MAT_TOL = 1e-8
 
 def _psi(q):
     return lambda t: cmath.exp(2j * cmath.pi * (t % q) / q)
-
-
-def _mat_key(m):
-    return tuple(tuple(int(x) for x in row) for row in m)
 
 
 def _matmul(a, b, q):
@@ -327,26 +324,10 @@ def build_weil_rep(q: int, variant: str) -> RepMatrixSet:
 
 
 def _mat_inverse(m, q):
-    n = len(m)
-    if n == 2:
-        det = (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % q
-        dinv = pow(det, -1, q)
-        return (
-            ((m[1][1] * dinv) % q, (-m[0][1] * dinv) % q),
-            ((-m[1][0] * dinv) % q, (m[0][0] * dinv) % q),
-        )
-    # Gauss-Jordan over F_q
-    aug = [[m[i][j] % q for j in range(n)] + [1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], -1, q)
-        aug[col] = [(v * inv) % q for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(aug[r][k] - f * aug[col][k]) % q for k in range(2 * n)]
-    return tuple(tuple(aug[i][n + j] for j in range(n)) for i in range(n))
+    """Inverse of a 2x2 matrix over F_q; every caller passes a 2x2 matrix."""
+    (a, b), (c, d) = m
+    dinv = pow((a * d - b * c) % q, -1, q)
+    return ((d * dinv) % q, (-b * dinv) % q), ((-c * dinv) % q, (a * dinv) % q)
 
 
 def _check_commutation(rep: RepMatrixSet):
@@ -386,13 +367,6 @@ def _is_identity(key):
     return all(key[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n))
 
 
-def _legendre_int(a: int, q: int) -> int:
-    a %= q
-    if a == 0:
-        return 0
-    return 1 if pow(a, (q - 1) // 2, q) == 1 else -1
-
-
 @lru_cache(maxsize=None)
 def _sl2_class_keys(q: int):
     """Class label of every SL2(q) element.
@@ -415,8 +389,8 @@ def _sl2_class_keys(q: int):
             v = (1, 0) if _matvec(nmat, (1, 0), q) != (0, 0) else (0, 1)
             nv = _matvec(nmat, v, q)
             inv = (nv[0] * v[1] - nv[1] * v[0]) % q
-            out[g] = ("unipot", sign, _legendre_int(inv, q))
-        elif _legendre_int((tr * tr - 4) % q, q) == 1:
+            out[g] = ("unipot", sign, fq_legendre(inv, q))
+        elif fq_legendre(tr * tr - 4, q) == 1:  # tr != +-2 here, so the argument is a unit
             roots = [x for x in range(1, q) if (x * x - tr * x + 1) % q == 0]
             out[g] = ("split", frozenset(roots))
         else:

@@ -22,7 +22,6 @@ leading-term routes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
@@ -115,10 +114,6 @@ class TameFieldDescriptor:
         """|residue field of L0|, the power used by the step involution."""
         return self.base_p ** (self.base_f * self.m)
 
-    def subfield_descriptor(self) -> "TameFieldDescriptor":
-        self._need_step()
-        return TameFieldDescriptor(self.base_p, self.base_f, self.m, 1, None)
-
     def _need_step(self):
         if self.step is None:
             raise NoQuadraticStep(f"{self} carries no quadratic step")
@@ -169,10 +164,6 @@ class LeadingTerm:
         if self.residue.field != self.field.residue_field():
             raise FieldMismatch("residue lives in the wrong field")
 
-    def fval(self) -> Fraction:
-        """F-normalized valuation val_L / e."""
-        return Fraction(self.val, self.field.e)
-
     def with_sym(self, sym: str, sigma_sym: str | None = None) -> "LeadingTerm":
         return replace(self, sym=sym, sigma_sym=self.sigma_sym if sigma_sym is None else sigma_sym)
 
@@ -208,23 +199,6 @@ def lt_neg(a: LeadingTerm) -> LeadingTerm:
 
 def lt_inv(a: LeadingTerm) -> LeadingTerm:
     return replace(a, val=-a.val, residue=a.residue.inverse())
-
-
-def lt_pow(a: LeadingTerm, n: int) -> LeadingTerm:
-    if n == 0:
-        return lt_one(a.field)
-    b = a if n > 0 else lt_inv(a)
-    out = b
-    for _ in range(abs(n) - 1):
-        out = lt_mul(out, b)
-    return out
-
-
-def lt_scale_unit(a: LeadingTerm, c: int) -> LeadingTerm:
-    """Multiply by a nonzero rational integer unit (e.g. 2); both flags survive."""
-    if c % a.field.base_p == 0:
-        raise DomainError("integer scale must be a unit")
-    return replace(a, residue=a.residue * c)
 
 
 def relative_conjugate(a: LeadingTerm) -> LeadingTerm:
@@ -322,12 +296,6 @@ def minus_one_class(q: int) -> SquareClass:
 def lt_uniformizer_base(field: TameFieldDescriptor) -> LeadingTerm:
     """The base uniformizer p as a leading term of L (val = e, fixed)."""
     return LeadingTerm(field, field.e, field.residue_field().one(), SYM_FIXED, SYM_FIXED)
-
-
-def lt_uniformizer(field: TameFieldDescriptor) -> LeadingTerm:
-    """The canonical uniformizer of L itself; anti for a ramified step."""
-    sym = SYM_ANTI if field.step == STEP_RAMIFIED else SYM_FIXED
-    return LeadingTerm(field, 1, field.residue_field().one(), sym, SYM_NONE)
 
 
 @lru_cache(maxsize=None)
@@ -604,12 +572,6 @@ def _normalized(x: TruncatedElement) -> TruncatedElement:
         b = tuple(c // p for c in b) if b is not None else None
         s -= 1
     return TruncatedElement(x.field, x.ring, a, b, s)
-
-
-def tr_zero(field: TameFieldDescriptor, prec: int) -> TruncatedElement:
-    ring = ring_for(field, prec)
-    b = ring.uzero() if ring.ram else None
-    return TruncatedElement(field, ring, ring.uzero(), b, 0)
 
 
 def tr_from_int(field: TameFieldDescriptor, n: int, prec: int) -> TruncatedElement:

@@ -82,11 +82,6 @@ class SOType:
 # Hilbert symbols
 
 
-def _eps1(q: int) -> int:
-    """leg(-1) over a residue field of q elements."""
-    return 1 if ((q - 1) // 2) % 2 == 0 else -1
-
-
 def hilbert_symbol(a: LeadingTerm, b: LeadingTerm) -> int:
     """Tame Hilbert symbol over the common field of a and b.
 
@@ -174,8 +169,8 @@ def _transfer_one(v: int, r, m: int, q: int):
     if v % 2 == 0:
         return m, det_unit, 1
     hasse = 1
-    if (m * (m - 1) // 2) % 2:
-        hasse *= _eps1(q)
+    if (m * (m - 1) // 2) % 2 and minus_one_class(q).ns:
+        hasse *= -1
     if (m - 1) % 2 and det_ns:
         hasse *= -1
     return m, SquareClass(m % 2, det_unit.ns), hasse

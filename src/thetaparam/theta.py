@@ -58,9 +58,8 @@ from .torusdata import (
     NotDepthZero,
     block_decompose,
     datum_equivalent,
-    is_general_position,
+    depth_zero_general_position,
     normalize_c_valuations,
-    residue_reduction,
     validate,
 )
 
@@ -130,22 +129,10 @@ def parity_predict(datum: TorusDatum):
     norm = normalize_c_valuations(datum)
     r = sum(1 for f in norm.factors if f.c.val % 2 == 0)
     s = len(norm.factors) - r
-    q = datum.base.q_base
     disc = SQ_ONE if (r + s) % 2 == 0 else SQ_U
     hasse = 1 if r % 2 == 0 else -1
     inv = QuadInvariants(2 * datum.n, disc, hasse)
     return inv, so_type(inv)
-
-
-def _require_general_position(datum: TorusDatum):
-    zero = [f for f in datum.factors if not f.gamma_levels]
-    if not zero:
-        return
-    sub = datum.replace_factors(zero)
-    fd1, fd2 = residue_reduction(sub)
-    for fd in (fd1, fd2):
-        if fd.entries and not is_general_position(fd, fd.exponents):
-            raise NotGeneralPosition("depth-zero exponents have a nontrivial Weyl stabilizer")
 
 
 def lift_depth_zero(
@@ -165,7 +152,14 @@ def lift_depth_zero(
     for f in datum.factors:
         if f.gamma_levels or f.step != STEP_UNRAMIFIED:
             raise NotDepthZero("depth-zero lift needs an unramified gamma-free datum")
-    _require_general_position(datum)
+    if not depth_zero_general_position(datum):
+        raise NotGeneralPosition("depth-zero exponents have a nontrivial Weyl stabilizer")
+    return _lift_zero_block(datum, uniformizer, taus)
+
+
+def _lift_zero_block(datum: TorusDatum, uniformizer, taus) -> ThetaResult:
+    """The depth-zero map on a symplectic block already known to be
+    unramified, gamma-free and in general position."""
     q = datum.base.q_base
     if uniformizer is None:
         uniformizer = default_uniformizer(datum.base)
@@ -210,6 +204,11 @@ def lift_positive_block(datum: TorusDatum, depth=None) -> ThetaResult:
         raise NotSingleBlock(f"factors carry depths {sorted(depths)}")
     if depth is not None and depths != {depth}:
         raise NotSingleBlock(f"expected a single block of depth {depth}")
+    return _lift_positive(datum)
+
+
+def _lift_positive(datum: TorusDatum) -> ThetaResult:
+    """The positive-depth map on a symplectic block of a single depth."""
     q = datum.base.q_base
     lifted = []
     for f in datum.factors:
@@ -220,48 +219,52 @@ def lift_positive_block(datum: TorusDatum, depth=None) -> ThetaResult:
     return ThetaResult(out, target, target, so_type(target), choices={})
 
 
+def validate_for_lift(datum: TorusDatum):
+    """Raise unless the datum is valid and symplectic, the domain of lift."""
+    report = validate(datum)
+    if not report.ok:
+        raise DomainError("invalid datum: " + "; ".join(report.violations))
+    if datum.polarity != POLARITY_SYMPLECTIC:
+        raise DomainError("theta lift starts from a symplectic datum")
+
+
 def lift(
     datum: TorusDatum,
     uniformizer: LeadingTerm | None = None,
     taus: dict | None = None,
 ) -> ThetaResult:
-    """Blockwise theta lift of a valid symplectic datum.
+    """Blockwise theta lift of a valid symplectic datum."""
+    validate_for_lift(datum)
+    return _lift_blocks(datum, uniformizer, taus)
+
+
+def _lift_blocks(datum: TorusDatum, uniformizer=None, taus=None) -> ThetaResult:
+    """The lift of a validated symplectic datum.
 
     The zero block goes through the depth-zero map, every positive block
     through the positive-depth map; factors are reassembled in their
-    original order and the invariants recomposed by the orthogonal sum law.
+    original order.  Each block's invariants are computed once, and the
+    totals composed by the orthogonal sum law.
     """
-    report = validate(datum)
-    if not report.ok:
-        raise DomainError("invalid datum: " + "; ".join(report.violations))
-    decomposition = block_decompose(datum)
     q = datum.base.q_base
-    new_factors = {}
-    predicted = None
+    new_factors = [None] * len(datum.factors)
+    target = predicted = QuadInvariants(0, SQ_ONE, 1)
     choices = {}
-    for r, indices in decomposition.levels:
+    for r, indices in block_decompose(datum).levels:
         sub = datum.replace_factors(datum.factors[i] for i in indices)
         if r == 0:
             sub_taus = None
             if taus:
                 sub_taus = {j: taus.get(i) for j, i in enumerate(indices) if taus.get(i)}
-            res = lift_depth_zero(sub, uniformizer, sub_taus)
+            res = _lift_zero_block(sub, uniformizer, sub_taus)
             choices.update(res.choices)
         else:
-            res = lift_positive_block(sub, r)
+            res = _lift_positive(sub)
         for j, i in enumerate(indices):
             new_factors[i] = res.lifted.factors[j]
-        predicted = (
-            res.predicted_invariants
-            if predicted is None
-            else orthogonal_sum(predicted, res.predicted_invariants, q)
-        )
-    out = TorusDatum(
-        datum.base, tuple(new_factors[i] for i in range(len(datum.factors))), POLARITY_ORTHOGONAL
-    )
-    target = invariants_of_orthogonal_datum(out)
-    if not witt_equal(target, predicted):
-        raise DomainError("internal cross-check failed: blockwise sum disagrees with total")
+        target = orthogonal_sum(target, res.target_invariants, q)
+        predicted = orthogonal_sum(predicted, res.predicted_invariants, q)
+    out = TorusDatum(datum.base, tuple(new_factors), POLARITY_ORTHOGONAL)
     if target.dim != 2 * datum.n:
         raise DomainError("equal-rank violation: lifted dimension is not 2n")
     return ThetaResult(out, target, predicted, so_type(target), choices)
@@ -322,9 +325,6 @@ class DistinctionWitness:
     base_f_field: TameFieldDescriptor
     datum_over_e: TorusDatum
 
-    def factor_count(self) -> int:
-        return len(self.datum_over_e.factors)
-
 
 def witness_violations(w: DistinctionWitness) -> list:
     v = []
@@ -368,16 +368,17 @@ class DistinctionVerdict:
         }
 
 
-def distinguished_check(w: DistinctionWitness, search: bool = True) -> DistinctionVerdict:
+def distinguished_check(w: DistinctionWitness) -> DistinctionVerdict:
     """Decide distinction for the supplied witness.
 
     The depth-zero quotient of the sigma-fixed norm-one torus K^1 has order
     two and maps onto that of L^1, so the depth-zero restriction of chi is
     trivial exactly when every chi0 is even; the positive-depth conditions
     are the declared sigma-antisymmetry of the gammas, checked by
-    witness_violations.  The bounded normalization search over norm-class
-    rescalings of c and Weyl twists of chi is exposed for completeness; in
-    this tower model both preserve chi0 mod 2, so it cannot flip a verdict.
+    witness_violations.  A negative verdict records that the normalization
+    search over norm-class rescalings of c and Weyl twists of chi is
+    exhausted: in this tower model both preserve chi0 mod 2, so it cannot
+    flip a verdict.
     """
     bad = witness_violations(w)
     if bad:
@@ -385,7 +386,7 @@ def distinguished_check(w: DistinctionWitness, search: bool = True) -> Distincti
     exps = tuple(f.chi0 % 2 for f in w.datum_over_e.factors)
     direct = all(e == 0 for e in exps)
     details = {"direct": direct}
-    if search and not direct:
+    if not direct:
         # Weyl twists multiply chi0 by odd powers of q and norm rescalings do
         # not touch chi at all; the mod-2 restriction exponent is invariant.
         details["search"] = "exhausted: restriction exponents are twist-invariant"
@@ -428,7 +429,7 @@ def distinction_transport(w: DistinctionWitness) -> TransportResult:
         raise DomainError("transport requires a distinguished witness")
     datum_e = w.datum_over_e
     q = w.base_f_field.q_base
-    lifted = lift(datum_e)
+    lifted = _lift_blocks(datum_e)  # witness_violations has validated datum_e
     iota = canonical_iota(w.base_f_field)
     k_e = iota.field.residue_field()
 

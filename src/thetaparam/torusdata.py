@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import DomainError
-from .finitefield import FqDescriptor, fq_make
 from .localfield import (
     STEP_RAMIFIED,
     STEP_UNRAMIFIED,
@@ -86,16 +85,6 @@ class TorusDatum:
         return TorusDatum(self.base, tuple(factors), self.polarity)
 
 
-def make_factor(base, m, step, val, residue_coeffs, sym, chi0=0, gammas=(), sigma_sym="none"):
-    field = factor_field(base, m, step)
-    c = LeadingTerm(field, val, field.residue_field().element(residue_coeffs), sym, sigma_sym)
-    levels = tuple(
-        (Fraction(r), LeadingTerm(field, gval, field.residue_field().element(gres), SYM_ANTI, gsig))
-        for (r, gval, gres, gsig) in gammas
-    )
-    return Factor(m, step, c, chi0, levels)
-
-
 @dataclass
 class ValidationReport:
     violations: list
@@ -152,15 +141,8 @@ def validate(datum: TorusDatum) -> ValidationReport:
                     v.append(f"{tag}: gamma at r={r} contradicts its anti flag")
                 if g.val != -r * field.e:
                     v.append(f"{tag}: gamma at r={r} has val {g.val}, expected {-r * field.e}")
-    if not v:
-        zero = [f for f in datum.factors if not f.gamma_levels]
-        if zero:
-            sub = datum.replace_factors(zero)
-            fd1, fd2 = residue_reduction(sub)
-            for fd in (fd1, fd2):
-                if fd.entries and not is_general_position(fd, fd.exponents):
-                    v.append("depth-zero character exponents are not in general position")
-                    break
+    if not v and not depth_zero_general_position(datum):
+        v.append("depth-zero character exponents are not in general position")
     return ValidationReport(v)
 
 
@@ -178,10 +160,6 @@ class FiniteTorusDatum:
     f0: int
     entries: tuple  # of m_i
     exponents: tuple
-
-    def residue_fields(self, i: int) -> tuple[FqDescriptor, FqDescriptor]:
-        m = self.entries[i]
-        return fq_make(self.p, self.f0 * m), fq_make(self.p, self.f0 * 2 * m)
 
     @property
     def dim(self) -> int:
@@ -231,17 +209,6 @@ def residue_reduction(datum: TorusDatum):
 # finite Weyl action
 
 
-def _factor_orbit(k: int, q: int, modulus: int):
-    """Orbit of an exponent under <q> mod (q^m + 1); contains -k since
-    q^m = -1 there."""
-    out = set()
-    cur = k % modulus
-    while cur not in out:
-        out.add(cur)
-        cur = (cur * q) % modulus
-    return out
-
-
 def weyl_group_order(fd: FiniteTorusDatum) -> int:
     order = 1
     for m in fd.entries:
@@ -287,10 +254,33 @@ def weyl_orbit(fd: FiniteTorusDatum, chi) -> frozenset:
 
 
 def is_general_position(fd: FiniteTorusDatum, chi) -> bool:
-    """Trivial stabilizer test: the orbit has full size exactly then."""
-    if not fd.entries:
+    """Trivial Weyl stabilizer, in closed form and O(sum of m_i) steps.
+
+    Twists q^{a_i} with a permutation s fix chi iff chi_{s(i)} = q^{a_i}
+    chi_i for all i.  So the stabilizer is trivial exactly when each
+    exponent's <q>-orbit mod q^m + 1 is free (size 2m, the order of q) and
+    factors of equal m carry exponents in distinct orbits.  weyl_orbit is
+    the brute-force check of this test.
+    """
+    seen = set()
+    for m, k in zip(fd.entries, chi):
+        mod = fd.q**m + 1
+        orbit = {k * fd.q**j % mod for j in range(2 * m)}
+        if len(orbit) != 2 * m or (m, min(orbit)) in seen:
+            return False
+        seen.add((m, min(orbit)))
+    return True
+
+
+def depth_zero_general_position(datum: TorusDatum) -> bool:
+    """General position of the residue exponents of the gamma-free factors."""
+    zero = [f for f in datum.factors if not f.gamma_levels]
+    if not zero:
         return True
-    return len(weyl_orbit(fd, chi)) == weyl_group_order(fd)
+    return all(
+        is_general_position(fd, fd.exponents)
+        for fd in residue_reduction(datum.replace_factors(zero))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +296,6 @@ class BlockDecomposition:
 
     def as_dict(self):
         return {str(r): list(ix) for r, ix in self.levels}
-
-    def zero_block(self):
-        for r, ix in self.levels:
-            if r == 0:
-                return ix
-        return ()
-
-    def positive_blocks(self):
-        return [(r, ix) for r, ix in self.levels if r > 0]
 
 
 def block_decompose(datum: TorusDatum) -> BlockDecomposition:

@@ -166,3 +166,62 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["theta"]["ok"]
+
+
+def _with(doc, edit):
+    out = json.loads(json.dumps(doc))
+    edit(out)
+    return out
+
+
+def _domain_error(tmp_path, args, doc):
+    out = tmp_path / "r.json"
+    code = main(["--out", str(out), *args, write(tmp_path, doc)])
+    rep = json.loads(out.read_text())
+    assert code == 1 and rep["kind"] == "DomainError", rep
+    return rep["error"]
+
+
+def test_gamma_depth_with_zero_denominator_is_a_domain_error(tmp_path):
+    doc = _with(WITNESS, lambda d: d["factors"][0]["gamma"][0].update(r="1/0"))
+    assert "zero denominator" in _domain_error(tmp_path, ["lift"], doc)
+
+
+def test_gamma_depth_outside_the_value_group_is_a_domain_error(tmp_path):
+    # an unramified factor has e = 1, so r = 1/2 is not a valuation of L
+    gamma = [{"r": "1/2", "residue_coeffs": [0, 2]}]
+    doc = _with(DEPTH_ZERO, lambda d: d["factors"][0].update(gamma=gamma))
+    assert "not in (1/1)Z" in _domain_error(tmp_path, ["blocks"], doc)
+
+
+def test_residue_coeffs_beyond_the_residue_degree_are_a_domain_error(tmp_path):
+    doc = _with(DEPTH_ZERO, lambda d: d["factors"][0]["c"].update(residue_coeffs=[0, 2, 1]))
+    assert "3 residue coefficients" in _domain_error(tmp_path, ["lift"], doc)
+
+
+def test_more_f_structure_entries_than_factors_is_a_domain_error(tmp_path):
+    extra = {"sigma_c": "fixed", "sigma_gamma": ["anti"]}
+    doc = _with(WITNESS, lambda d: d["distinction"]["F_structure"].append(extra))
+    assert "2 entries for 1 factors" in _domain_error(tmp_path, ["distinguish"], doc)
+
+
+def test_predict_validates_like_lift(tmp_path):
+    code, rep = run_cli(["lift", write(tmp_path, DEPTH_ZERO)], tmp_path)
+    orthogonal = rep["result"]["lifted"]
+    for args in (["predict"], ["lift"]):
+        error = _domain_error(tmp_path, args, orthogonal)
+        assert error == "theta lift starts from a symplectic datum"
+    not_general = _with(DEPTH_ZERO, lambda d: d["factors"][0].update(chi0=0))
+    for args in (["predict"], ["lift"]):
+        assert "not in general position" in _domain_error(tmp_path, args, not_general)
+
+
+def test_validate_applies_the_witness_checks(tmp_path):
+    # without sigma_c the witness's c is not declared sigma-fixed
+    doc = _with(WITNESS, lambda d: d["distinction"]["F_structure"][0].pop("sigma_c"))
+    path = write(tmp_path, doc)
+    code, rep = run_cli(["validate", path], tmp_path)
+    assert code == 1 and not rep["result"]["ok"]
+    assert rep["result"]["violations"] == ["factor 0: c is not declared and consistent sigma-fixed"]
+    code, rep = run_cli(["distinguish", path], tmp_path)
+    assert code == 1 and rep["kind"] == "InvalidWitness"

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,9 @@ from thetaparam.localfield import (
 )
 from thetaparam.quadform import (
     QuadInvariants,
+    invariants_of_orthogonal_datum,
     invariants_via_gram,
+    orthogonal_sum,
     witt_equal,
 )
 from thetaparam.theta import (
@@ -46,6 +49,7 @@ from thetaparam.torusdata import (
     POLARITY_SYMPLECTIC,
     NotDepthZero,
     TorusDatum,
+    block_decompose,
     datum_equivalent,
     validate,
 )
@@ -210,6 +214,42 @@ def test_lift_blockwise_consistency():
         assert validate(res.lifted).ok
         # every lifted c is fixed-flagged
         assert all(f.c.sym == SYM_FIXED for f in res.lifted.factors)
+
+
+def test_lift_blockwise_sum_equals_total_on_criterion_2_data():
+    """lift composes the block invariants by the orthogonal sum law; on the
+    criterion-2 data that sum, the invariants recomputed on the whole lifted
+    datum, and the reported target invariants all agree."""
+    rng = random.Random(202)
+    for i in range(500):
+        p = 5 if i % 2 == 0 else 7
+        d = gen.random_mixed_datum(p, rng, 4)
+        res = lift(d)
+        blockwise = QuadInvariants(0, SQ_ONE, 1)
+        for r, indices in block_decompose(d).levels:
+            sub = d.replace_factors(d.factors[j] for j in indices)
+            block = lift_depth_zero(sub) if r == 0 else lift_positive_block(sub, r)
+            blockwise = orthogonal_sum(blockwise, block.target_invariants, p)
+        total = invariants_of_orthogonal_datum(res.lifted)
+        assert blockwise == total == res.target_invariants, (d, blockwise, total)
+
+
+def test_lift_five_factor_depth_zero_datum():
+    """Five m = 3 factors over Q_5 with exponents in distinct free orbits
+    mod 5^3 + 1: the Weyl group has 6^5 * 5! elements, and validation no
+    longer enumerates an orbit of that size."""
+    field = factor_field(BASE5, 3, STEP_UNRAMIFIED)
+    tau = canonical_tau(field)
+    factors = tuple(Factor(3, STEP_UNRAMIFIED, tau, k) for k in (1, 2, 3, 4, 6))
+    d = TorusDatum(BASE5, factors, POLARITY_SYMPLECTIC)
+    res = lift(d)
+    assert res.target_invariants.dim == 30
+    assert witt_equal(res.target_invariants, parity_predict(d)[0])
+    # 5 = 5 * 1 lies in the orbit of 1, so the factors 1 and 5 collide
+    same_orbit = d.replace_factors(factors[:4] + (replace(factors[4], chi0=5),))
+    assert validate(same_orbit).violations == [
+        "depth-zero character exponents are not in general position"
+    ]
 
 
 def test_lift_pure_blocks_match_special_cases():

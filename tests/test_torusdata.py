@@ -244,6 +244,24 @@ def test_general_position_examples():
     assert not is_general_position(fd, (0,))
 
 
+def test_general_position_closed_form_matches_orbit_enumeration():
+    """Exhaustive over small (q, m): the closed-form test agrees with the
+    brute-force orbit size on every exponent vector."""
+    import itertools
+
+    cases = [
+        (3, (1,)), (3, (2,)), (3, (3,)), (3, (1, 1)), (3, (1, 2)), (3, (2, 2)),
+        (3, (1, 1, 1)), (3, (1, 1, 2)), (5, (1,)), (5, (2,)), (5, (1, 1)),
+        (5, (1, 2)), (5, (1, 1, 1)), (7, (1, 1)),
+    ]
+    for q, entries in cases:
+        fd = FiniteTorusDatum(q, q, 1, entries, tuple(0 for _ in entries))
+        order = weyl_group_order(fd)
+        for chi in itertools.product(*(range(q**m + 1) for m in entries)):
+            expected = len(weyl_orbit(fd, chi)) == order
+            assert is_general_position(fd, chi) == expected, (q, entries, chi)
+
+
 def test_orbit_size_divides_group_order_and_gp_is_orbit_invariant():
     rng = random.Random(13)
     for _ in range(40):
