@@ -109,7 +109,12 @@ def parse_datum(doc: dict):
         c = LeadingTerm(field, cdoc["val"], c_res, cdoc["sym"], c_sigma)
         gammas = []
         gsigmas = struct.get("sigma_gamma") or []
-        for j, gdoc in enumerate(fdoc.get("gamma") or []):
+        gdocs = fdoc.get("gamma") or []
+        if len(gsigmas) > len(gdocs):
+            raise DomainError(
+                f"factor {i}: sigma_gamma has {len(gsigmas)} entries for {len(gdocs)} gamma levels"
+            )
+        for j, gdoc in enumerate(gdocs):
             tag = f"factor {i}: gamma r = {gdoc['r']}"
             try:
                 r = Fraction(gdoc["r"])
@@ -158,6 +163,9 @@ def datum_to_json(datum: TorusDatum, base_is_e: bool = False) -> dict:
 def _residue(k, coeffs: list, tag: str):
     if len(coeffs) > k.f:
         raise DomainError(f"{tag}: {len(coeffs)} residue coefficients for a field of degree {k.f}")
+    for c in coeffs:
+        if not 0 <= c < k.p:
+            raise DomainError(f"{tag}: residue coefficient {c} is outside 0..{k.p - 1}")
     return k.element(coeffs)
 
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .errors import DomainError
 
-DEFAULT_SIZE_BOUND = 10**6
+SIZE_BOUND = 10**6  # largest field order fq_make builds
 
 
 class NotPrime(DomainError):
@@ -66,17 +66,6 @@ def _poly_trim(c):
     return tuple(c[:i])
 
 
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
 def _poly_mod(a, m, p):
     # m monic
     a = list(a)
@@ -91,15 +80,33 @@ def _poly_mod(a, m, p):
     return _poly_trim(a)
 
 
-def _poly_powmod(a, e, m, p):
-    result = (1,)
-    base = _poly_mod(a, m, p)
-    while e > 0:
+def _mulmod(a, b, modulus, n):
+    """a * b mod (modulus, n) for coefficient tuples of length d = deg modulus
+    over Z/n; modulus is monic.  Serves F_p[x]/(m) and (Z/p^N)[x]/(m)."""
+    d = len(a)
+    out = [0] * (2 * d - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b, i):
+                out[j] = (out[j] + ai * bj) % n
+    for k in range(2 * d - 2, d - 1, -1):
+        c = out[k]
+        if c:
+            for i, mi in enumerate(modulus[:d], k - d):
+                out[i] = (out[i] - c * mi) % n
+    return tuple(out[:d])
+
+
+def _powmod(a, e, modulus, n):
+    """a^e for e >= 0 in the ring of _mulmod."""
+    out = (1,) + (0,) * (len(modulus) - 2)
+    while e:
         if e & 1:
-            result = _poly_mod(_poly_mul(result, base, p), m, p)
-        base = _poly_mod(_poly_mul(base, base, p), m, p)
+            out = _mulmod(out, a, modulus, n)
         e >>= 1
-    return result
+        if e:
+            a = _mulmod(a, a, modulus, n)
+    return out
 
 
 def _poly_sub(a, b, p):
@@ -150,13 +157,11 @@ def _is_irreducible(modulus, p):
     f = len(modulus) - 1
     if f == 1:
         return True
-    x = (0, 1)
-    xq = _poly_powmod(x, p**f, modulus, p)
-    if _poly_sub(xq, x, p):
+    x = (0, 1) + (0,) * (f - 2)
+    if _poly_sub(_powmod(x, p**f, modulus, p), x, p):
         return False
     for ell in _prime_factors(f):
-        d = f // ell
-        xd = _poly_powmod(x, p**d, modulus, p)
+        xd = _powmod(x, p ** (f // ell), modulus, p)
         g = _poly_gcd(_poly_sub(xd, x, p), modulus, p)
         if len(g) - 1 != 0:
             return False
@@ -208,12 +213,12 @@ class FqDescriptor:
 
 
 @lru_cache(maxsize=None)
-def fq_make(p: int, f: int, bound: int = DEFAULT_SIZE_BOUND) -> FqDescriptor:
-    """Create the deterministic descriptor of F_{p^f}; p odd prime, p^f <= bound."""
+def fq_make(p: int, f: int) -> FqDescriptor:
+    """Create the deterministic descriptor of F_{p^f}; p odd prime, p^f <= SIZE_BOUND."""
     if not is_prime(p) or p == 2:
         raise NotPrime(f"p = {p} is not an odd prime")
-    if f < 1 or p**f > bound:
-        raise DegreeTooLarge(f"p^f = {p}**{f} exceeds bound {bound}")
+    if f < 1 or p**f > SIZE_BOUND:
+        raise DegreeTooLarge(f"p^f = {p}**{f} exceeds bound {SIZE_BOUND}")
     for k in range(p**f):
         modulus = tuple(_digits(k, p, f)) + (1,)
         if _is_irreducible(modulus, p):
@@ -237,39 +242,29 @@ class FqElement:
         p = self.field.p
         return FqElement(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __sub__(self, other):
-        self._check(other)
-        p = self.field.p
-        return FqElement(self.field, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
     def __neg__(self):
         p = self.field.p
         return FqElement(self.field, tuple((-a) % p for a in self.coeffs))
 
     def __mul__(self, other):
+        k = self.field
         if isinstance(other, int):
-            p = self.field.p
-            return FqElement(self.field, tuple((a * other) % p for a in self.coeffs))
+            return FqElement(k, tuple((a * other) % k.p for a in self.coeffs))
         self._check(other)
-        prod = _poly_mul(self.coeffs, other.coeffs, self.field.p)
-        red = _poly_mod(prod, self.field.modulus, self.field.p)
-        return self.field.element(red)
+        return FqElement(k, _mulmod(self.coeffs, other.coeffs, k.modulus, k.p))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        red = _poly_powmod(self.coeffs, e, self.field.modulus, self.field.p)
-        return self.field.element(red)
+        k = self.field
+        return FqElement(k, _powmod(self.coeffs, e, k.modulus, k.p))
 
     def inverse(self):
         if self.is_zero():
             raise ZeroInput("inverse of zero")
         return self ** (self.field.order - 2)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
 
     def frobenius(self, j: int = 1):
         """x -> x^{p^j}."""
@@ -323,16 +318,16 @@ def fq_multiplicative_generator(field: FqDescriptor) -> FqElement:
     raise DomainError("no generator found")  # unreachable
 
 
-def fq_norm1_generator(q_desc: FqDescriptor, m: int, bound: int = DEFAULT_SIZE_BOUND) -> FqElement:
+def fq_norm1_generator(q_desc: FqDescriptor, m: int) -> FqElement:
     """Generator of ker(Nm: F_{q^{2m}}^x -> F_{q^m}^x), cyclic of order q^m + 1.
 
     Returns z^{q^m - 1} for the canonical multiplicative generator z of
     F_{q^{2m}}.  q_desc describes the base field F_q.
     """
     q = q_desc.order
-    if q ** (2 * m) > bound:
-        raise FieldTooLarge(f"F_{q}^{2 * m} exceeds bound {bound}")
-    big = fq_make(q_desc.p, q_desc.f * 2 * m, bound)
+    if q ** (2 * m) > SIZE_BOUND:
+        raise FieldTooLarge(f"F_{q}^{2 * m} exceeds bound {SIZE_BOUND}")
+    big = fq_make(q_desc.p, q_desc.f * 2 * m)
     z = fq_multiplicative_generator(big)
     return z ** (q**m - 1)
 

@@ -69,8 +69,7 @@ def _matvec(m, v, q):
     return tuple(sum(m[i][j] * v[j] for j in range(len(v))) % q for i in range(len(m)))
 
 
-def _identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+_IDENTITY = ((1, 0), (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -137,34 +136,21 @@ class FiniteDualPair:
         return len(self.rotations)
 
 
+def _gl2_elements(q: int):
+    """GL2(q) in lexicographic order of the entries (a, b, c, d)."""
+    return [((a, b), (c, d)) for a in range(q) for b in range(q) for c in range(q)
+            for d in range(q) if (a * d - b * c) % q]
+
+
 def _sl2_elements(q: int):
-    out = []
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                for d in range(q):
-                    if (a * d - b * c) % q == 1:
-                        out.append(((a, b), (c, d)))
-    return out
+    return [m for m in _gl2_elements(q) if (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % q == 1]
 
 
 def _orthogonal_elements(space: BinarySpace):
-    q = space.q
-    vecs = space.vectors()
-    out = []
-    for m in _sl2_candidates(q):
-        if all(space.quad(_matvec(m, v, q)) == space.quad(v) for v in vecs):
-            out.append(m)
-    return out
-
-
-def _sl2_candidates(q: int):
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                for d in range(q):
-                    if (a * d - b * c) % q != 0:
-                        yield ((a, b), (c, d))
+    """The m in GL2(q) with m^T G m = G for the polar Gram matrix G; for odd
+    q these are exactly the m with Q(mv) = Q(v), as Q(v) = B(v, v) / 2."""
+    q, g = space.q, space.gram
+    return [m for m in _gl2_elements(q) if _matmul(tuple(zip(*m)), _matmul(g, m, q), q) == g]
 
 
 def _rotation_list(space: BinarySpace):
@@ -288,9 +274,8 @@ def build_weil_rep(q: int, variant: str) -> RepMatrixSet:
     for b in range(1, q):
         gens[((1, b), (0, 1))] = n_mat(b)
 
-    identity = _identity(2)
-    sp_mats = {identity: np.eye(dim, dtype=complex)}
-    frontier = [identity]
+    sp_mats = {_IDENTITY: np.eye(dim, dtype=complex)}
+    frontier = [_IDENTITY]
     while frontier:
         nxt = []
         for cur in frontier:
@@ -351,20 +336,14 @@ class ClassFunction:
     label: str
 
     def degree(self) -> complex:
-        key = next(k for k in self.values if _is_identity(k))
-        return self.values[key]
+        return self.values[_IDENTITY]
 
     def inner(self, other: "ClassFunction") -> complex:
         n = len(self.values)
         return sum(self.values[k] * other.values[k].conjugate() for k in self.values) / n
 
-    def close_to(self, other: "ClassFunction", tol=MULT_TOL) -> bool:
-        return all(abs(self.values[k] - other.values[k]) < tol for k in self.values)
-
-
-def _is_identity(key):
-    n = len(key)
-    return all(key[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n))
+    def close_to(self, other: "ClassFunction") -> bool:
+        return all(abs(self.values[k] - other.values[k]) < MULT_TOL for k in self.values)
 
 
 @lru_cache(maxsize=None)
@@ -378,7 +357,7 @@ def _sl2_class_keys(q: int):
     for g in _sl2_elements(q):
         (a, b), (c, d) = g
         tr = (a + d) % q
-        if g == ((1, 0), (0, 1)):
+        if g == _IDENTITY:
             out[g] = ("id",)
         elif g == ((q - 1, 0), (0, q - 1)):
             out[g] = ("minus",)
@@ -474,20 +453,14 @@ def _o2_decompose(pair: FiniteDualPair):
     """(rotation index, is_reflection) for every element of O(V); a
     reflection h is written as rotation * seed with a fixed seed."""
     rot_index = {m: j for j, m in enumerate(pair.rotations)}
-    seed = _reflection_seed(pair)
+    seed_inv = _mat_inverse(_reflection_seed(pair), pair.q)
     out = {}
     for h in pair.o_elements:
-        if h in rot_index:
-            out[h] = (rot_index[h], False)
-            continue
-        found = None
-        for m, j in rot_index.items():
-            if _matmul(m, seed, pair.q) == h:
-                found = j
-                break
-        if found is None:
+        refl = h not in rot_index
+        j = rot_index.get(_matmul(h, seed_inv, pair.q) if refl else h)
+        if j is None:
             raise VerificationFailure("element is neither rotation nor reflection")
-        out[h] = (found, True)
+        out[h] = (j, refl)
     return out
 
 
@@ -533,20 +506,11 @@ def o2_one_dimensionals(pair: FiniteDualPair):
 
 
 def o2_irreducibles(pair: FiniteDualPair):
-    """Complete list of irreducible characters of the dihedral group O(V)."""
+    """Complete list of irreducible characters of the dihedral group O(V):
+    the four linear ones (which check that n is even) and ind[k] for
+    0 < k < n/2, one from each pair ind[k] = ind[n - k]."""
     n = pair.rotation_order
-    out = list(o2_one_dimensionals(pair))
-    for k in range(1, (n + 1) // 2 + 1):
-        if (2 * k) % n != 0:
-            out.append(o2_induced_character(pair, k))
-    # drop duplicates ind[k] = ind[n-k]
-    seen = []
-    uniq = []
-    for ch in out:
-        if not any(ch.close_to(prev) for prev in seen):
-            seen.append(ch)
-            uniq.append(ch)
-    return uniq
+    return o2_one_dimensionals(pair) + [o2_induced_character(pair, k) for k in range(1, n // 2)]
 
 
 def sl2_regular_exponents(q: int):
@@ -635,11 +599,11 @@ def conjugacy_classes(elements, q):
         }
         classes.append(sorted(orbit, key=lambda e: index[e]))
         unassigned -= orbit
-    classes.sort(key=lambda cl: (not _is_identity(cl[0]), len(cl), index[cl[0]]))
+    classes.sort(key=lambda cl: (cl[0] != _IDENTITY, len(cl), index[cl[0]]))
     return classes
 
 
-def numerical_character_table(elements, q, seed: int = 1):
+def numerical_character_table(elements, q):
     """Irreducible characters of a small matrix group, via simultaneous
     eigenvectors of the class-sum multiplication matrices.  Returns
     (classes, list of per-element ClassFunction-style dicts)."""
@@ -659,7 +623,7 @@ def numerical_character_table(elements, q, seed: int = 1):
             for x in cl:
                 y = _matmul(_mat_inverse(x, q), z, q)
                 tables[i, cls_of[y], k] += 1
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1)
     for _ in range(8):
         coeffs = rng.standard_normal(ncl)
         m = sum(c * tables[i] for i, c in enumerate(coeffs))

@@ -28,6 +28,8 @@ from .errors import DomainError
 from .finitefield import (
     FqDescriptor,
     FqElement,
+    _mulmod,
+    _powmod,
     fq_canonical_nonsquare,
     fq_embedding,
     fq_is_square,
@@ -217,6 +219,13 @@ def relative_conjugate(a: LeadingTerm) -> LeadingTerm:
     return replace(a, residue=res)
 
 
+def residue_sym_ok(residue: FqElement, power: int, sym: str) -> bool:
+    """The residue test of a symmetry flag for an involution acting on
+    residues as x -> x^power: x^power = x if sym is fixed, -x otherwise."""
+    moved = residue**power
+    return moved == residue if sym == SYM_FIXED else moved == -residue
+
+
 def flag_consistent(a: LeadingTerm) -> bool:
     """Necessary residue/valuation conditions for the declared sym flag."""
     if a.sym == SYM_NONE:
@@ -225,13 +234,12 @@ def flag_consistent(a: LeadingTerm) -> bool:
     if field.step is None:
         return a.sym == SYM_FIXED  # no involution: only "fixed" is sensible
     if field.step == STEP_UNRAMIFIED:
-        conj = a.residue ** field.relative_residue_size
-        return conj == a.residue if a.sym == SYM_FIXED else conj == -a.residue
+        return residue_sym_ok(a.residue, field.relative_residue_size, a.sym)
     # ramified: fixed elements of L0 have even val, anti elements odd val
     return (a.val % 2 == 0) if a.sym == SYM_FIXED else (a.val % 2 == 1)
 
 
-def is_norm(x: LeadingTerm, strict: bool = True) -> bool:
+def is_norm(x: LeadingTerm) -> bool:
     """Membership of x in Nm_{L/L0}(L^x), for x in L0 (decided at leading order).
 
     Unramified step: the norm group is exactly the even part of val_{L0}.
@@ -241,13 +249,11 @@ def is_norm(x: LeadingTerm, strict: bool = True) -> bool:
     field = x.field
     field._need_step()
     if field.step == STEP_UNRAMIFIED:
-        if strict and (x.residue ** field.relative_residue_size) != x.residue:
+        if not residue_sym_ok(x.residue, field.relative_residue_size, SYM_FIXED):
             raise DomainError("is_norm input must lie in L0 (fixed residue)")
         return x.val % 2 == 0
     if x.val % 2 != 0:
-        if strict:
-            raise DomainError("is_norm input must lie in L0 (even valuation)")
-        return False
+        raise DomainError("is_norm input must lie in L0 (even valuation)")
     v0 = x.val // 2
     corrected = x.residue if v0 % 2 == 0 else -x.residue
     return fq_is_square(corrected)
@@ -308,7 +314,7 @@ def canonical_tau(field: TameFieldDescriptor) -> LeadingTerm:
     k_small = field.subfield_residue()
     u = fq_canonical_nonsquare(k_small)
     s = fq_sqrt(fq_embedding(k_small, k_big).apply(u))
-    assert s ** field.relative_residue_size == -s
+    assert residue_sym_ok(s, field.relative_residue_size, SYM_ANTI)
     return LeadingTerm(field, 0, s, SYM_ANTI, SYM_NONE)
 
 
@@ -354,20 +360,7 @@ class TruncatedRing:
         return tuple((x * c) % pN for x in a)
 
     def umul(self, a, b):
-        d, pN = self.d, self.pN
-        out = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = (out[i + j] + ai * bj) % pN
-        # reduce degrees d .. 2d-2 by the monic modulus
-        for k in range(2 * d - 2, d - 1, -1):
-            c = out[k]
-            if c:
-                out[k] = 0
-                for i in range(d):
-                    out[k - d + i] = (out[k - d + i] - c * self.modulus[i]) % pN
-        return tuple(out[:d])
+        return _mulmod(a, b, self.modulus, self.pN)
 
     def uone(self):
         return (1,) + (0,) * (self.d - 1)
@@ -391,14 +384,7 @@ class TruncatedRing:
         return y
 
     def upow(self, a, e):
-        out = self.uone()
-        base = a
-        while e > 0:
-            if e & 1:
-                out = self.umul(out, base)
-            base = self.umul(base, base)
-            e >>= 1
-        return out
+        return _powmod(a, e, self.modulus, self.pN)
 
     def _eval_int_poly(self, coeffs, at):
         acc = self.uzero()

@@ -18,7 +18,6 @@ Their agreement on random data is an acceptance gate of the package.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -105,14 +104,21 @@ def hilbert_class(ca: SquareClass, cb: SquareClass, q: int) -> int:
     return -1 if sign else 1
 
 
+def _fold(parts, q):
+    """(dim, det class, hasse) of the orthogonal sum of parts given by the
+    same triples: dims add, dets multiply, and each Hasse factor picks up
+    the Hilbert symbol of the det classes summed so far and the new one."""
+    dim, det, hasse = 0, SQ_ONE, 1
+    for d1, det1, h1 in parts:
+        hasse *= h1 * hilbert_class(det, det1, q)
+        det = det * det1
+        dim += d1
+    return dim, det, hasse
+
+
 def diagonal_invariants(classes, q):
     """(dim, det class, hasse) of a diagonal form given its entry classes."""
-    det = SQ_ONE
-    hasse = 1
-    for c in classes:
-        hasse *= hilbert_class(det, c, q)
-        det = det * c
-    return len(classes), det, hasse
+    return _fold(((1, c, 1) for c in classes), q)
 
 
 def _finish(dim: int, det: SquareClass, hasse: int, q: int) -> QuadInvariants:
@@ -122,11 +128,8 @@ def _finish(dim: int, det: SquareClass, hasse: int, q: int) -> QuadInvariants:
 
 
 def orthogonal_sum(a: QuadInvariants, b: QuadInvariants, q: int) -> QuadInvariants:
-    """Invariant composition law: dims add, dets multiply, Hasse picks up
-    the cross Hilbert symbol of the two det classes."""
-    da, db = a.det_class(q), b.det_class(q)
-    hasse = a.hasse * b.hasse * hilbert_class(da, db, q)
-    return _finish(a.dim + b.dim, da * db, hasse, q)
+    """Invariant composition law of _fold on two classified spaces."""
+    return _finish(*_fold([(x.dim, x.det_class(q), x.hasse) for x in (a, b)], q), q)
 
 
 # ---------------------------------------------------------------------------
@@ -180,19 +183,15 @@ def invariants_of_orthogonal_datum(datum) -> QuadInvariants:
     """(dim, disc, hasse) of the trace form of an orthogonal datum, by the
     compositional transfer route.  Every c_i must carry the fixed flag."""
     q = datum.base.q_base
-    dim, det, hasse = 0, SQ_ONE, 1
+    parts = []
     for factor in datum.factors:
         c = factor.c
         if c.sym != SYM_FIXED:
             raise SymmetryFlagViolation("orthogonal data need sigma-fixed c")
         if not flag_consistent(c):
             raise SymmetryFlagViolation("declared fixed flag contradicts the leading term")
-        for v, r in _binary_entries(factor, datum.base):
-            d1, det1, h1 = _transfer_one(v, r, factor.m, q)
-            hasse *= h1 * hilbert_class(det, det1, q)
-            det = det * det1
-            dim += d1
-    return _finish(dim, det, hasse, q)
+        parts += (_transfer_one(v, r, factor.m, q) for v, r in _binary_entries(factor, datum.base))
+    return _finish(*_fold(parts, q), q)
 
 
 def symplectic_sanity(datum) -> int:
@@ -311,20 +310,12 @@ def _diagonalize_symmetric(gram):
     return diag
 
 
-def _env_start_precision() -> int | None:
-    raw = os.environ.get("THETA_PARAM_PRECISION")
-    return int(raw) if raw else None
-
-
-def invariants_via_gram(datum, start_prec: int | None = None) -> QuadInvariants:
+def invariants_via_gram(datum) -> QuadInvariants:
     """Gram-oracle route: explicit matrices in the truncated model,
     diagonalized with precision tracking; restarts with doubled precision
     on PrecisionExhausted."""
     q = datum.base.q_base
-    if start_prec is None:
-        start_prec = _env_start_precision() or 0
-    est = 4 + sum(abs(f.c.val) // f.c.field.e + 2 for f in datum.factors)
-    prec = max(start_prec, est)
+    prec = 4 + sum(abs(f.c.val) // f.c.field.e + 2 for f in datum.factors)
     for _ in range(5):
         try:
             classes = []
@@ -334,8 +325,7 @@ def invariants_via_gram(datum, start_prec: int | None = None) -> QuadInvariants:
                 diag = _diagonalize_symmetric(_gram_matrix(factor, prec))
                 for entry in diag:
                     classes.append(_f_square_class(entry, datum.base))
-            dim, det, hasse = diagonal_invariants(classes, q)
-            return _finish(dim, det, hasse, q)
+            return _finish(*diagonal_invariants(classes, q), q)
         except PrecisionExhausted:
             prec *= 2
     raise PrecisionExhausted(f"Gram diagonalization failed up to precision {prec}")
@@ -358,16 +348,17 @@ def _f_square_class(entry: TruncatedElement, base: TameFieldDescriptor) -> Squar
 # brute-force solubility oracle
 
 
-def brute_force_hilbert(a: LeadingTerm, b: LeadingTerm, digits: int = 2) -> int:
+def brute_force_hilbert(a: LeadingTerm, b: LeadingTerm) -> int:
     """Decide (a, b)_F by searching for solutions of a x^2 + b y^2 = z^2.
 
     Valuations are first reduced mod 2 by exact square rescaling.  The z = 0
     branch is the squareness of -a/b; otherwise primitive pairs (x, y) over
-    O/p^digits are enumerated and a x^2 + b y^2 is tested for being a
-    nonzero square from its certified leading term.  For p odd and digits
-    >= 2 the search radius is sufficient: a unit ratio -b/a that is not a
-    square stops cancellation at depth one.
+    O/p^2 are enumerated and a x^2 + b y^2 is tested for being a nonzero
+    square from its certified leading term.  For p odd two digits are a
+    sufficient search radius: a unit ratio -b/a that is not a square stops
+    cancellation at depth one.
     """
+    digits = 2
     if a.field != b.field or a.field.e != 1 or a.field.f != 1:
         raise DomainError("solubility oracle runs over the base field")
     field = a.field

@@ -41,6 +41,7 @@ from .localfield import (
     factor_field,
     lt_mul,
     lt_neg,
+    residue_sym_ok,
 )
 from .quadform import (
     QuadInvariants,
@@ -194,7 +195,7 @@ def _lift_zero_block(datum: TorusDatum, uniformizer, taus) -> ThetaResult:
 # positive depth
 
 
-def lift_positive_block(datum: TorusDatum, depth=None) -> ThetaResult:
+def lift_positive_block(datum: TorusDatum) -> ThetaResult:
     """Theta lift of a single positive-depth block: factor-wise
     c_theta = -(c * gamma) at the top level, character data inverted."""
     if datum.polarity != POLARITY_SYMPLECTIC:
@@ -202,8 +203,6 @@ def lift_positive_block(datum: TorusDatum, depth=None) -> ThetaResult:
     depths = {f.depth for f in datum.factors}
     if len(depths) != 1 or 0 in depths:
         raise NotSingleBlock(f"factors carry depths {sorted(depths)}")
-    if depth is not None and depths != {depth}:
-        raise NotSingleBlock(f"expected a single block of depth {depth}")
     return _lift_positive(datum)
 
 
@@ -302,15 +301,6 @@ def _sigma_power(factor_field_desc: TameFieldDescriptor, base_f_field: TameField
     return base_f_field.q_base**m
 
 
-def _sigma_residue_ok(lt: LeadingTerm, power: int) -> bool:
-    moved = lt.residue**power
-    if lt.sigma_sym == SYM_FIXED:
-        return moved == lt.residue
-    if lt.sigma_sym == SYM_ANTI:
-        return moved == -lt.residue
-    return False
-
-
 @dataclass(frozen=True)
 class DistinctionWitness:
     """A symplectic datum over E with a declared factor-wise F-structure.
@@ -346,10 +336,10 @@ def witness_violations(w: DistinctionWitness) -> list:
                      "is not a field")
             continue
         power = _sigma_power(f.c.field, w.base_f_field)
-        if f.c.sigma_sym != SYM_FIXED or not _sigma_residue_ok(f.c, power):
+        if f.c.sigma_sym != SYM_FIXED or not residue_sym_ok(f.c.residue, power, SYM_FIXED):
             v.append(f"{tag}: c is not declared and consistent sigma-fixed")
         for r, g in f.gamma_levels:
-            if g.sigma_sym != SYM_ANTI or not _sigma_residue_ok(g, power):
+            if g.sigma_sym != SYM_ANTI or not residue_sym_ok(g.residue, power, SYM_ANTI):
                 v.append(f"{tag}: gamma at depth {r} is not sigma-anti")
     return v
 
@@ -436,14 +426,14 @@ def distinction_transport(w: DistinctionWitness) -> TransportResult:
     twisted_factors = []
     for i, f in enumerate(lifted.lifted.factors):
         power = _sigma_power(f.c.field, w.base_f_field)
-        if f.c.sigma_sym != SYM_ANTI or not _sigma_residue_ok(f.c, power):
+        if f.c.sigma_sym != SYM_ANTI or not residue_sym_ok(f.c.residue, power, SYM_ANTI):
             raise SymmetryAssertionFailed(f"factor {i}: sigma(c_theta) != -c_theta")
         k_l = f.c.field.residue_field()
         iota_l = LeadingTerm(
             f.c.field, 0, fq_embedding(k_e, k_l).apply(iota.residue), SYM_FIXED, SYM_ANTI
         )
         tf = _iota_twist_factor(f, iota_l, q)
-        if tf.c.sigma_sym != SYM_FIXED or not _sigma_residue_ok(tf.c, power):
+        if tf.c.sigma_sym != SYM_FIXED or not residue_sym_ok(tf.c.residue, power, SYM_FIXED):
             raise SymmetryAssertionFailed(f"factor {i}: iota * c_theta is not sigma-fixed")
         twisted_factors.append(tf)
     twisted = TorusDatum(datum_e.base, tuple(twisted_factors), POLARITY_ORTHOGONAL)

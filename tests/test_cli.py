@@ -199,6 +199,22 @@ def test_residue_coeffs_beyond_the_residue_degree_are_a_domain_error(tmp_path):
     assert "3 residue coefficients" in _domain_error(tmp_path, ["lift"], doc)
 
 
+def test_residue_coeffs_above_p_minus_one_are_a_domain_error(tmp_path):
+    doc = _with(DEPTH_ZERO, lambda d: d["factors"][0]["c"].update(residue_coeffs=[5, 7]))
+    assert "residue coefficient 5 is outside 0..4" in _domain_error(tmp_path, ["lift"], doc)
+
+
+def test_negative_residue_coeffs_are_a_domain_error(tmp_path):
+    doc = _with(DEPTH_ZERO, lambda d: d["factors"][0]["c"].update(residue_coeffs=[0, -3]))
+    assert "residue coefficient -3 is outside 0..4" in _domain_error(tmp_path, ["lift"], doc)
+
+
+def test_more_sigma_gamma_entries_than_gamma_levels_is_a_domain_error(tmp_path):
+    structure = {"sigma_c": "fixed", "sigma_gamma": ["anti", "fixed", "none"]}
+    doc = _with(WITNESS, lambda d: d["distinction"].update(F_structure=[structure]))
+    assert "3 entries for 1 gamma levels" in _domain_error(tmp_path, ["distinguish"], doc)
+
+
 def test_more_f_structure_entries_than_factors_is_a_domain_error(tmp_path):
     extra = {"sigma_c": "fixed", "sigma_gamma": ["anti"]}
     doc = _with(WITNESS, lambda d: d["distinction"]["F_structure"].append(extra))

@@ -7,6 +7,9 @@ from thetaparam.finitefield import (
     DividesInput,
     NotPrime,
     ZeroInput,
+    _mulmod,
+    _poly_mod,
+    _powmod,
     fq_canonical_nonsquare,
     fq_embedding,
     fq_is_square,
@@ -152,3 +155,26 @@ def test_norm1_generator_size_bound():
 
     with pytest.raises(FieldTooLarge):
         fq_norm1_generator(fq_make(7, 1), 4)  # F_{7^8} exceeds the bound
+
+
+def test_mulmod_matches_schoolbook_product_and_reduction():
+    # reference: the full product reduced coefficient-wise, then by the monic modulus
+    rng = random.Random(5)
+    for p in (3, 5, 7):
+        for d in (1, 2, 3, 4):
+            modulus = fq_make(p, d).modulus
+            for n in (p, p**5):
+                for _ in range(20):
+                    a = tuple(rng.randrange(n) for _ in range(d))
+                    b = tuple(rng.randrange(n) for _ in range(d))
+                    prod = [0] * (2 * d - 1)
+                    for i in range(d):
+                        for j in range(d):
+                            prod[i + j] = (prod[i + j] + a[i] * b[j]) % n
+                    red = _poly_mod(prod, modulus, n)
+                    assert _mulmod(a, b, modulus, n) == red + (0,) * (d - len(red))
+                    e = rng.randrange(12)
+                    power = (1,) + (0,) * (d - 1)
+                    for _ in range(e):
+                        power = _mulmod(power, a, modulus, n)
+                    assert _powmod(a, e, modulus, n) == power

@@ -9,7 +9,11 @@ from thetaparam.finitetheta import (
     VerificationFailure,
     _mat_inverse,
     _matmul,
+    _matvec,
     _mulclose,
+    _o2_decompose,
+    _orthogonal_elements,
+    _reflection_seed,
     _sl2_elements,
     _sp4_transvections,
     _torus_matrices_in_sp4,
@@ -41,6 +45,36 @@ def test_group_orders(q):
     assert len(plus.o_elements) == 2 * (q - 1)
     assert len(minus.o_elements) == 2 * (q + 1)
     assert plus.rotation_order == q - 1 and minus.rotation_order == q + 1
+
+
+@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("variant", ["+", "-"])
+def test_orthogonal_elements_match_the_quadratic_form_definition(q, variant):
+    # oracle: every invertible m with Q(mv) = Q(v) for all v, in lexicographic order
+    space = dual_pair(q, variant).space
+    expected = []
+    for a in range(q):
+        for b in range(q):
+            for c in range(q):
+                for d in range(q):
+                    m = ((a, b), (c, d))
+                    if (a * d - b * c) % q and all(
+                        space.quad(_matvec(m, v, q)) == space.quad(v) for v in space.vectors()
+                    ):
+                        expected.append(m)
+    assert _orthogonal_elements(space) == expected
+
+
+@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("variant", ["+", "-"])
+def test_o2_decompose_writes_reflections_as_rotation_times_seed(q, variant):
+    pair = dual_pair(q, variant)
+    seed = _reflection_seed(pair)
+    dec = _o2_decompose(pair)
+    assert list(dec) == list(pair.o_elements)
+    for h, (j, refl) in dec.items():
+        assert h == (_matmul(pair.rotations[j], seed, q) if refl else pair.rotations[j])
+    assert sum(refl for _, refl in dec.values()) == len(pair.rotations)
 
 
 def test_space_discriminants():

@@ -219,11 +219,3 @@ def test_diagonal_invariants_hyperbolic():
     dim, det, hasse = diagonal_invariants([SQ_ONE, minus_one_class(5)], 5)
     assert dim == 2 and hasse == 1
     assert det == minus_one_class(5)
-
-
-def test_precision_env_override(monkeypatch):
-    rng = random.Random(31)
-    d = gen.random_orthogonal_datum(5, rng, 2)
-    expected = invariants_of_orthogonal_datum(d)
-    monkeypatch.setenv("THETA_PARAM_PRECISION", "25")
-    assert invariants_via_gram(d) == expected

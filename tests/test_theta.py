@@ -228,7 +228,7 @@ def test_lift_blockwise_sum_equals_total_on_criterion_2_data():
         blockwise = QuadInvariants(0, SQ_ONE, 1)
         for r, indices in block_decompose(d).levels:
             sub = d.replace_factors(d.factors[j] for j in indices)
-            block = lift_depth_zero(sub) if r == 0 else lift_positive_block(sub, r)
+            block = lift_depth_zero(sub) if r == 0 else lift_positive_block(sub)
             blockwise = orthogonal_sum(blockwise, block.target_invariants, p)
         total = invariants_of_orthogonal_datum(res.lifted)
         assert blockwise == total == res.target_invariants, (d, blockwise, total)
