@@ -214,11 +214,15 @@ class FqDescriptor:
 
 @lru_cache(maxsize=None)
 def fq_make(p: int, f: int) -> FqDescriptor:
-    """Create the deterministic descriptor of F_{p^f}; p odd prime, p^f <= SIZE_BOUND."""
+    """Create the deterministic descriptor of F_{p^f}; p odd prime, p^f <= SIZE_BOUND.
+
+    The bound is checked first: p^f > SIZE_BOUND for every p >= 2 once f
+    reaches the bit length of SIZE_BOUND, so neither a huge power nor trial
+    division of a huge p is ever computed."""
+    if f < 1 or f >= SIZE_BOUND.bit_length() or p**f > SIZE_BOUND:
+        raise DegreeTooLarge(f"p^f = {p}**{f} exceeds bound {SIZE_BOUND}")
     if not is_prime(p) or p == 2:
         raise NotPrime(f"p = {p} is not an odd prime")
-    if f < 1 or p**f > SIZE_BOUND:
-        raise DegreeTooLarge(f"p^f = {p}**{f} exceeds bound {SIZE_BOUND}")
     for k in range(p**f):
         modulus = tuple(_digits(k, p, f)) + (1,)
         if _is_irreducible(modulus, p):

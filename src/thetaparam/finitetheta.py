@@ -153,32 +153,27 @@ def _orthogonal_elements(space: BinarySpace):
     return [m for m in _gl2_elements(q) if _matmul(tuple(zip(*m)), _matmul(g, m, q), q) == g]
 
 
+def _multiplication_matrices(g, order):
+    """The matrices of y -> g^k y for k = 0 .. order - 1 in the power basis
+    1, x, x^2, ... of the field of g; column j is the image of x^j."""
+    field = g.field
+    basis = [field.gen() ** k for k in range(field.f)]
+    mats, cur = [], field.one()
+    for _ in range(order):
+        mats.append(tuple(zip(*((cur * b).coeffs for b in basis))))
+        cur = cur * g
+    return mats
+
+
 def _rotation_list(space: BinarySpace):
     """Rotations indexed by powers of the canonical generator: for '-' the
     multiplications by the norm-one group of F_{q^2}, for '+' the maps
     diag(g0^j, g0^-j)."""
     q = space.q
     if space.variant == "-":
-        base = fq_make(q, 1)
-        g = fq_norm1_generator(base, 1)
-        field = g.field
-        order = q + 1
-        mats = []
-        cur = field.one()
-        for _ in range(order):
-            one_img = cur
-            x_img = cur * field.gen()
-            mats.append(((one_img.coeffs[0], x_img.coeffs[0]), (one_img.coeffs[1], x_img.coeffs[1])))
-            cur = cur * g
-        return mats
+        return _multiplication_matrices(fq_norm1_generator(fq_make(q, 1), 1), q + 1)
     g0 = fq_multiplicative_generator(fq_make(q, 1)).coeffs[0]
-    order = q - 1
-    mats = []
-    a = 1
-    for _ in range(order):
-        mats.append(((a % q, 0), (0, pow(a, -1, q))))
-        a = a * g0
-    return mats
+    return [((pow(g0, j, q), 0), (0, pow(g0, -j, q))) for j in range(q - 1)]
 
 
 @lru_cache(maxsize=None)
@@ -206,25 +201,20 @@ def dual_pair(q: int, variant: str) -> FiniteDualPair:
 
 @dataclass
 class RepMatrixSet:
-    """Matrices of the oscillator representation on functions on V.
+    """The oscillator representation on functions on V, with every array in
+    the order of pair.sp_elements and pair.o_elements.
 
-    sp_mats and o_mats are keyed by the group elements; the two actions
-    commute, and omega(g, h) = sp_mats[g] @ o_mats[h].
+    sp[i] is the matrix of the i-th element g of SL2(q); the j-th element h
+    of O(V) acts by the index permutation f -> f[perm[j]], which commutes
+    with every sp[i].  traces[i, j] = sum_k sp[i, k, perm[j, k]] is the
+    trace of the pair (g, h^-1), equal to that of (g, h) because h and h^-1
+    are conjugate in the dihedral group O(V).
     """
 
     pair: FiniteDualPair
-    dimension: int
-    sp_mats: dict
-    o_mats: dict
-    o_perms: dict
-
-    def omega(self, g, h):
-        return self.sp_mats[g] @ self.o_mats[h]
-
-    def pair_trace(self, g, h) -> complex:
-        perm = self.o_perms[h]
-        m = self.sp_mats[g]
-        return complex(sum(m[i, perm[i]] for i in range(self.dimension)))
+    sp: np.ndarray  # (|SL2|, d, d) complex
+    perm: np.ndarray  # (|O|, d) int
+    traces: np.ndarray  # (|SL2|, |O|) complex
 
 
 def _scalar_of(mat, dim) -> complex:
@@ -242,7 +232,7 @@ def build_weil_rep(q: int, variant: str) -> RepMatrixSet:
     (n(1) w)^3 = 1 and w^4 = 1 (as c = mu3 / mu4 for the measured scalar
     defects), after which the whole group is generated breadth-first with
     every Cayley collision checked, and commutation with the permutation
-    action of O(V) is verified.
+    action of every element of O(V) is verified on every element of SL2(q).
     """
     pair = dual_pair(q, variant)
     space = pair.space
@@ -274,38 +264,36 @@ def build_weil_rep(q: int, variant: str) -> RepMatrixSet:
     for b in range(1, q):
         gens[((1, b), (0, 1))] = n_mat(b)
 
-    sp_mats = {_IDENTITY: np.eye(dim, dtype=complex)}
-    frontier = [_IDENTITY]
+    pos = {g: i for i, g in enumerate(pair.sp_elements)}
+    sp = np.empty((len(pos), dim, dim), dtype=complex)
+    sp[pos[_IDENTITY]] = np.eye(dim)
+    reached, frontier = {_IDENTITY}, [_IDENTITY]
     while frontier:
         nxt = []
         for cur in frontier:
             for gk, gm in gens.items():
                 new = _matmul(gk, cur, q)
-                cand = gm @ sp_mats[cur]
-                if new in sp_mats:
-                    if np.max(np.abs(sp_mats[new] - cand)) > MAT_TOL:
+                cand = gm @ sp[pos[cur]]
+                if new in reached:
+                    if np.max(np.abs(sp[pos[new]] - cand)) > MAT_TOL:
                         raise NormalizationFailure("inconsistent Cayley collision")
                 else:
-                    sp_mats[new] = cand
+                    sp[pos[new]] = cand
+                    reached.add(new)
                     nxt.append(new)
         frontier = nxt
-    if len(sp_mats) != len(pair.sp_elements):
+    if len(reached) != len(pos):
         raise NormalizationFailure("generators did not reach the whole group")
 
-    o_mats = {}
-    o_perms = {}
-    for h in pair.o_elements:
-        hinv = _mat_inverse(h, q)
-        perm = [index[_matvec(hinv, v, q)] for v in vecs]
-        mat = np.zeros((dim, dim), dtype=complex)
-        for i, j in enumerate(perm):
-            mat[i, j] = 1.0
-        o_mats[h] = mat
-        o_perms[h] = perm
-
-    rep = RepMatrixSet(pair, dim, sp_mats, o_mats, o_perms)
-    _check_commutation(rep)
-    return rep
+    perm = np.array(
+        [[index[_matvec(_mat_inverse(h, q), v, q)] for v in vecs] for h in pair.o_elements]
+    )
+    # P S P^-1 = S entrywise for each g and the permutation matrix P of each perm;
+    # one g at a time keeps the temporaries at |O| d^2 entries
+    for s in sp:
+        if np.max(np.abs(s[perm[:, :, None], perm[:, None, :]] - s)) > MAT_TOL:
+            raise NormalizationFailure("Sp and O actions do not commute")
+    return RepMatrixSet(pair, sp, perm, sp[:, np.arange(dim), perm].sum(-1))
 
 
 def _mat_inverse(m, q):
@@ -313,14 +301,6 @@ def _mat_inverse(m, q):
     (a, b), (c, d) = m
     dinv = pow((a * d - b * c) % q, -1, q)
     return ((d * dinv) % q, (-b * dinv) % q), ((-c * dinv) % q, (a * dinv) % q)
-
-
-def _check_commutation(rep: RepMatrixSet):
-    gens = [rep.pair.sp_elements[1], rep.pair.sp_elements[-1]]
-    for g in gens:
-        for h in rep.pair.o_elements:
-            if np.max(np.abs(rep.sp_mats[g] @ rep.o_mats[h] - rep.o_mats[h] @ rep.sp_mats[g])) > MAT_TOL:
-                raise NormalizationFailure("Sp and O actions do not commute")
 
 
 # ---------------------------------------------------------------------------
@@ -525,14 +505,9 @@ def sl2_regular_exponents(q: int):
 def theta_multiplicity(rep: RepMatrixSet, pi: ClassFunction, rho: ClassFunction) -> int:
     """Multiplicity of pi x rho in the oscillator representation:
     the normalized double character sum, with an integrality assertion."""
-    total = 0j
-    for g in rep.pair.sp_elements:
-        cg = pi.values[g].conjugate()
-        if abs(cg) < 1e-14:
-            continue
-        for h in rep.pair.o_elements:
-            total += rep.pair_trace(g, h) * cg * rho.values[h].conjugate()
-    total /= len(rep.pair.sp_elements) * len(rep.pair.o_elements)
+    cpi = np.conj([pi.values[g] for g in rep.pair.sp_elements])
+    crho = np.conj([rho.values[h] for h in rep.pair.o_elements])
+    total = complex(cpi @ rep.traces @ crho) / rep.traces.size
     m = round(total.real)
     if abs(total - m) > MULT_TOL or m < 0:
         raise NonIntegralMultiplicity(f"<omega, {pi.label} x {rho.label}> = {total}")
@@ -767,20 +742,7 @@ def _torus_matrices_in_sp4(q: int):
 
     gram = [[tr_to_base(c * basis[i] * (basis[j] ** (q * q))) for j in range(4)] for i in range(4)]
 
-    def mult_matrix(y):
-        cols = []
-        for b in basis:
-            prod = y * b
-            cols.append(list(prod.coeffs))
-        return tuple(tuple(cols[j][i] % q for j in range(4)) for i in range(4))
-
-    torus = []
-    cur = big.one()
-    order = q * q + 1
-    for _ in range(order):
-        torus.append(mult_matrix(cur))
-        cur = cur * g
-    return torus, gram
+    return _multiplication_matrices(g, q * q + 1), gram
 
 
 def _sp4_transvections(q: int, gram):

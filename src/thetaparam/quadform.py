@@ -136,7 +136,7 @@ def orthogonal_sum(a: QuadInvariants, b: QuadInvariants, q: int) -> QuadInvarian
 # transfer route
 
 
-def _binary_entries(factor, base: TameFieldDescriptor):
+def _binary_entries(factor):
     """The factor's binary form over L0 in the basis {1, theta}: <2c, -2c*Delta>.
 
     Delta is the canonical relative discriminant: the canonical non-square
@@ -190,7 +190,7 @@ def invariants_of_orthogonal_datum(datum) -> QuadInvariants:
             raise SymmetryFlagViolation("orthogonal data need sigma-fixed c")
         if not flag_consistent(c):
             raise SymmetryFlagViolation("declared fixed flag contradicts the leading term")
-        parts += (_transfer_one(v, r, factor.m, q) for v, r in _binary_entries(factor, datum.base))
+        parts += (_transfer_one(v, r, factor.m, q) for v, r in _binary_entries(factor))
     return _finish(*_fold(parts, q), q)
 
 

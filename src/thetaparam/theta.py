@@ -383,7 +383,7 @@ def distinguished_check(w: DistinctionWitness) -> DistinctionVerdict:
     return DistinctionVerdict(direct, exps, details)
 
 
-def _iota_twist_factor(f: Factor, iota_in_l: LeadingTerm, q: int) -> Factor:
+def _iota_twist_factor(f: Factor, iota_in_l: LeadingTerm) -> Factor:
     c = lt_mul(f.c, iota_in_l)
     gammas = tuple((r, lt_mul(g, iota_in_l)) for r, g in f.gamma_levels)
     return replace(f, c=c, gamma_levels=gammas)
@@ -394,7 +394,6 @@ class TransportResult:
     """Distinction transport output: the sigma-fixed iota-twisted lift over
     E, its descended F-structure, and the invariants on both sides."""
 
-    lift_over_e: ThetaResult
     twisted_datum_e: TorusDatum
     invariants_e: QuadInvariants
     f_datum: TorusDatum
@@ -418,7 +417,6 @@ def distinction_transport(w: DistinctionWitness) -> TransportResult:
     if not verdict.distinguished:
         raise DomainError("transport requires a distinguished witness")
     datum_e = w.datum_over_e
-    q = w.base_f_field.q_base
     lifted = _lift_blocks(datum_e)  # witness_violations has validated datum_e
     iota = canonical_iota(w.base_f_field)
     k_e = iota.field.residue_field()
@@ -432,7 +430,7 @@ def distinction_transport(w: DistinctionWitness) -> TransportResult:
         iota_l = LeadingTerm(
             f.c.field, 0, fq_embedding(k_e, k_l).apply(iota.residue), SYM_FIXED, SYM_ANTI
         )
-        tf = _iota_twist_factor(f, iota_l, q)
+        tf = _iota_twist_factor(f, iota_l)
         if tf.c.sigma_sym != SYM_FIXED or not residue_sym_ok(tf.c.residue, power, SYM_FIXED):
             raise SymmetryAssertionFailed(f"factor {i}: iota * c_theta is not sigma-fixed")
         twisted_factors.append(tf)
@@ -446,13 +444,12 @@ def distinction_transport(w: DistinctionWitness) -> TransportResult:
         "sigma_anti_c_theta": True,
         "re_extension_equivalent": datum_equivalent(re_extended, twisted),
     }
+    pi_e = canonical_sigma_uniformizer(w.base_f_field)
     choices = {
         "iota": {"val": iota.val, "residue": list(iota.residue.coeffs)},
-        "sigma_uniformizer": {"val": 1, "residue": list(iota.residue.coeffs)},
+        "sigma_uniformizer": {"val": pi_e.val, "residue": list(pi_e.residue.coeffs)},
     }
-    return TransportResult(
-        lifted, twisted, inv_e, f_datum, inv_f, so_type(inv_f), choices, checks
-    )
+    return TransportResult(twisted, inv_e, f_datum, inv_f, so_type(inv_f), choices, checks)
 
 
 def descend_to_f(datum_e: TorusDatum, base_f_field: TameFieldDescriptor) -> TorusDatum:

@@ -320,7 +320,7 @@ def recombine(datum: TorusDatum, decomposition: BlockDecomposition) -> TorusDatu
 # equivalence
 
 
-def _tower_isos(factor: Factor, q: int):
+def _tower_isos(factor: Factor):
     """F-isomorphisms of the factor tower at descriptor level.
 
     Unramified step: the 2m Frobenius twists.  Ramified step: m Frobenius
@@ -364,7 +364,7 @@ def _iso_matches_character(fa: Factor, fb: Factor, iso, q: int) -> bool:
 def _factor_pair_equivalent(fa: Factor, fb: Factor, q: int, mode: str) -> bool:
     if fa.m != fb.m or fa.step != fb.step:
         return False
-    isos = _tower_isos(fa, q)
+    isos = _tower_isos(fa)
     if mode == "strict":
         return any(
             _iso_matches_c(fa, fb, iso, q) and _iso_matches_character(fa, fb, iso, q)

@@ -91,25 +91,37 @@ def test_space_discriminants():
 # -- oscillator representation
 
 
+def _omegas(rep, gi, hi):
+    """Dense omega(g, h) = S_g P_h for index arrays gi, hi, with the
+    permutation matrix P_h = eye[perm_h] applied to S_g as a column
+    permutation: S P = S[:, perm^-1]."""
+    inverse = np.argsort(rep.perm, axis=1)
+    return np.take_along_axis(rep.sp[gi], inverse[hi][:, None, :], axis=2)
+
+
 def test_weil_rep_dimension_and_identity():
     rep = build_weil_rep(3, "-")
-    assert rep.dimension == 9
+    pair = rep.pair
+    assert rep.sp.shape == (24, 9, 9) and rep.perm.shape == (8, 9)
+    assert rep.traces.shape == (24, 8)
     idk = ((1, 0), (0, 1))
-    assert np.allclose(rep.omega(idk, idk), np.eye(9))
+    gi, hi = pair.sp_elements.index(idk), pair.o_elements.index(idk)
+    assert np.allclose(_omegas(rep, np.array([gi]), np.array([hi]))[0], np.eye(9))
+    assert np.array_equal(rep.perm[hi], np.arange(9))
 
 
 @pytest.mark.parametrize("variant", ["+", "-"])
 def test_weil_rep_multiplicativity_exhaustive_q3(variant):
     q = 3
     rep = build_weil_rep(q, variant)
-    sp_keys = list(rep.sp_mats)
-    o_keys = list(rep.o_mats)
-    pairs = [(g, h) for g in sp_keys for h in o_keys]
+    pairs = [(g, h) for g in rep.pair.sp_elements for h in rep.pair.o_elements]
+    gi, hi = np.divmod(np.arange(len(pairs)), len(rep.pair.o_elements))
+    omega = dict(zip(pairs, _omegas(rep, gi, hi)))
     for g1, h1 in pairs:
-        m1 = rep.omega(g1, h1)
+        m1 = omega[g1, h1]
         for g2, h2 in pairs:
-            lhs = m1 @ rep.omega(g2, h2)
-            rhs = rep.omega(_matmul(g1, g2, q), _matmul(h1, h2, q))
+            lhs = m1 @ omega[g2, h2]
+            rhs = omega[_matmul(g1, g2, q), _matmul(h1, h2, q)]
             assert np.max(np.abs(lhs - rhs)) < 1e-7
 
 
@@ -119,10 +131,8 @@ def test_weil_rep_multiplicativity_sampled_q5():
     total_checked = 0
     for variant in ("+", "-"):
         rep = build_weil_rep(q, variant)
-        sp_keys = list(rep.sp_mats)
-        o_keys = list(rep.o_mats)
-        sp_stack = np.stack([rep.sp_mats[k] for k in sp_keys])
-        o_stack = np.stack([rep.o_mats[k] for k in o_keys])
+        sp_keys = rep.pair.sp_elements
+        o_keys = rep.pair.o_elements
         n = 60000
         gi1 = rng.integers(0, len(sp_keys), n)
         gi2 = rng.integers(0, len(sp_keys), n)
@@ -138,10 +148,8 @@ def test_weil_rep_multiplicativity_sampled_q5():
         chunk = 4000
         for lo in range(0, n, chunk):
             hi = min(lo + chunk, n)
-            lhs = (sp_stack[gi1[lo:hi]] @ o_stack[hi1[lo:hi]]) @ (
-                sp_stack[gi2[lo:hi]] @ o_stack[hi2[lo:hi]]
-            )
-            rhs = sp_stack[prod_idx_g[lo:hi]] @ o_stack[prod_idx_h[lo:hi]]
+            lhs = _omegas(rep, gi1[lo:hi], hi1[lo:hi]) @ _omegas(rep, gi2[lo:hi], hi2[lo:hi])
+            rhs = _omegas(rep, prod_idx_g[lo:hi], prod_idx_h[lo:hi])
             assert np.max(np.abs(lhs - rhs)) < 1e-6
             total_checked += hi - lo
     assert total_checked >= 10**5
@@ -151,12 +159,9 @@ def test_weil_rep_commutation_exhaustive():
     for q in (3, 5):
         for variant in ("+", "-"):
             rep = build_weil_rep(q, variant)
-            for g in list(rep.sp_mats)[:: max(1, len(rep.sp_mats) // 30)]:
-                for h in rep.pair.o_elements:
-                    assert (
-                        np.max(np.abs(rep.sp_mats[g] @ rep.o_mats[h] - rep.o_mats[h] @ rep.sp_mats[g]))
-                        < 1e-7
-                    )
+            for perm in rep.perm:
+                p_h = np.eye(q * q)[perm]
+                assert np.max(np.abs(rep.sp @ p_h - p_h @ rep.sp)) < 1e-7
 
 
 def _rank_mod(matrix, q):
@@ -184,10 +189,10 @@ def test_trace_squares_to_fixed_space_count():
     for q in (3, 5):
         for variant in ("+", "-"):
             rep = build_weil_rep(q, variant)
-            sp_keys = list(rep.sp_mats)
+            sp_keys, o_keys = rep.pair.sp_elements, rep.pair.o_elements
             for _ in range(60):
                 g = rng.choice(sp_keys)
-                h = rng.choice(rep.pair.o_elements)
+                h = rng.choice(o_keys)
                 kron = [
                     [
                         (g[i1][j1] * h[i2][j2] - (1 if (i1, i2) == (j1, j2) else 0)) % q
@@ -198,7 +203,7 @@ def test_trace_squares_to_fixed_space_count():
                     for i2 in range(2)
                 ]
                 dim_fix = 4 - _rank_mod(kron, q)
-                tr = rep.pair_trace(g, h)
+                tr = rep.traces[sp_keys.index(g), o_keys.index(h)]
                 assert abs(abs(tr) ** 2 - q**dim_fix) < 1e-5
 
 
@@ -280,6 +285,29 @@ def test_multiplicity_integrality_trivial_pair():
     triv_o = ClassFunction("o", {h: 1 + 0j for h in pair.o_elements}, "1")
     m = theta_multiplicity(rep, triv_sp, triv_o)
     assert m >= 0
+
+
+@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("variant", ["+", "-"])
+def test_theta_multiplicity_matches_double_character_sum(q, variant):
+    # oracle: sum over g, h of tr(S_g P_h) conj(pi(g)) conj(rho(h)) / (|SL2| |O|),
+    # with the permutation matrix P_h built densely
+    rep = build_weil_rep(q, variant)
+    pair = rep.pair
+    traces = {
+        (g, h): np.trace(rep.sp[i] @ np.eye(q * q)[rep.perm[j]])
+        for i, g in enumerate(pair.sp_elements)
+        for j, h in enumerate(pair.o_elements)
+    }
+    pis = [dl_regular_character(q, "nonsplit", k) for k in sl2_regular_exponents(q)]
+    pis += [dl_regular_character(q, "split", a) for a in range(1, q - 1) if (2 * a) % (q - 1)]
+    for pi in pis:
+        for rho in o2_irreducibles(pair):
+            total = sum(
+                tr * pi.values[g].conjugate() * rho.values[h].conjugate() for (g, h), tr in traces.items()
+            ) / len(traces)
+            assert abs(total - round(total.real)) < 1e-6
+            assert theta_multiplicity(rep, pi, rho) == round(total.real)
 
 
 @pytest.mark.parametrize("q", [3, 5])

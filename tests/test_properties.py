@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thetaparam.cli import main
+from thetaparam.finitefield import SIZE_BOUND
 
 SUBCOMMANDS = ("validate", "lift", "predict", "blocks", "distinguish", "transport")
 R_VALUES = ("0", "1", "2", "1/2", "3/2", "5/3", "1/0")
@@ -78,6 +79,14 @@ def _reinterpreted(doc) -> bool:
                for s, f in zip(structures, doc["factors"]))
 
 
+def _over_size_bound(doc) -> bool:
+    """Whether a residue field of the document has more than SIZE_BOUND
+    elements; p^20 > SIZE_BOUND already, so the power stays small."""
+    p, f = doc["base"]["p"], doc["base"]["f"] * (1 + ("distinction" in doc))
+    degrees = [f * x["m"] * (2 if x["step"] == "unramified" else 1) for x in doc["factors"]]
+    return any(p ** min(d, 20) > SIZE_BOUND for d in degrees)
+
+
 # the README examples, which every subcommand that applies accepts, and
 # each with the two reinterpretations that parsing rejects
 DEPTH_ZERO = {
@@ -112,6 +121,10 @@ def _edited(doc, path, value):
 @example(_edited(DEPTH_ZERO, ["factors", 0, "c", "residue_coeffs"], [5, 7]))
 @example(_edited(DEPTH_ZERO, ["factors", 0, "c", "residue_coeffs"], [0, -3]))
 @example(_edited(WITNESS, ["distinction", "F_structure", 0, "sigma_gamma"], ["anti", "fixed", "none"]))
+# fields far over SIZE_BOUND: rejected before any primality test or big power
+@example(_edited(DEPTH_ZERO, ["base", "p"], 2305843009213693951))  # a prime
+@example(_edited(DEPTH_ZERO, ["base", "f"], 100000000))
+@example(_edited(DEPTH_ZERO, ["factors", 0, "m"], 100000000))
 @given(documents())
 def test_every_schema_valid_document_gets_a_report(doc):
     with tempfile.TemporaryDirectory() as tmp:
@@ -124,5 +137,5 @@ def test_every_schema_valid_document_gets_a_report(doc):
             report = json.loads(out.read_text())
             assert code in (0, 1, 2) and report["tool"] == "thetaparam", (command, report)
             assert elapsed < SECONDS_PER_CALL, (command, elapsed)
-            if _reinterpreted(doc):
+            if _reinterpreted(doc) or _over_size_bound(doc):
                 assert code == 1 and "error" in report, (command, report)
