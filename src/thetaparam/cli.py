@@ -77,7 +77,7 @@ def load_document(path: str) -> tuple[dict, str]:
     digest = hashlib.sha256(raw).hexdigest()
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as ex:
+    except (ValueError, RecursionError) as ex:  # also undecodable bytes and too deep nesting
         raise SchemaError(f"{path} is not valid JSON: {ex}") from ex
     try:
         jsonschema.validate(doc, _schema())
@@ -365,20 +365,24 @@ def _emit(report: dict, out_path: str | None):
         sys.stdout.write(text)
 
 
+def _error(message, kind: str) -> dict:
+    return {"tool": "thetaparam", "version": __version__, "error": str(message), "kind": kind}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         report, code = args.func(args)
     except SchemaError as ex:
-        _emit({"tool": "thetaparam", "version": __version__, "error": str(ex),
-               "kind": "schema"}, args.out)
-        return 2
+        report, code = _error(ex, "schema"), 2
     except DomainError as ex:
-        _emit({"tool": "thetaparam", "version": __version__, "error": str(ex),
-               "kind": type(ex).__name__}, args.out)
-        return 1
-    _emit(report, args.out)
+        report, code = _error(ex, type(ex).__name__), 1
+    try:
+        _emit(report, args.out)
+    except OSError as ex:  # an unwritable --out: the error goes to stdout
+        _emit(_error(f"cannot write {args.out}: {ex}", "schema"), None)
+        return 2
     return code
 
 

@@ -15,9 +15,13 @@ computed character tables, and fed into multiplicity sums that verify the
 rank-one theta pattern: a regular nonsplit-torus character lifts with
 multiplicity one to the anisotropic pair and vanishes on the split pair.
 
-The Weyl-form checks close matrix groups over F_q breadth-first on exact
-integer codes of their elements, and find torus normalizers by the
-inverse-free test g t = t' g: one exact pass, with no matrix inverse.
+Every group element is a small-int numpy matrix keyed by the int64 code of
+its entries.  SL2(q) and O(V) are MatrixGroups: their elements in code
+order with a table of products, so class functions are vectors in that
+order and conjugation, inverses and classes are table lookups.  The
+Weyl-form checks close matrix groups over F_q breadth-first on codes, and
+find torus normalizers by the inverse-free test g t = t' g: one exact pass,
+with no matrix inverse.
 """
 
 from __future__ import annotations
@@ -58,18 +62,44 @@ def _psi(q):
     return lambda t: cmath.exp(2j * cmath.pi * (t % q) / q)
 
 
-def _matmul(a, b, q):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) % q for j in range(len(b[0])))
-        for i in range(len(a))
-    )
+# ---------------------------------------------------------------------------
+# finite matrix groups in one layout
 
 
-def _matvec(m, v, q):
-    return tuple(sum(m[i][j] * v[j] for j in range(len(v))) % q for i in range(len(m)))
+def _codes(mats, q):
+    """The code sum_k entry_k q^(K-1-k) of each matrix, its K entries read
+    row by row with the first most significant: code order is the
+    lexicographic order of the entries.  Exact for 4 x 4 matrices at
+    q <= 5, as q^16 < 2^63."""
+    flat = np.asarray(mats).reshape(len(mats), -1)
+    codes = np.zeros(len(flat), dtype=np.int64)
+    for col in flat.T:
+        codes = codes * q + col
+    return codes
 
 
-_IDENTITY = ((1, 0), (0, 1))
+class MatrixGroup:
+    """A finite group of square matrices over F_q: the int8 elements in
+    code order, mul[i, j] the index of elements[i] @ elements[j], and the
+    identity and inverse of every element as indices."""
+
+    def __init__(self, elements, q: int):
+        self.q = q
+        self.elements = np.asarray(elements, dtype=np.int8)
+        self.codes = _codes(self.elements, q)
+        e = self.elements.astype(np.int64)
+        self.mul = self.index(e[:, None] @ e[None])
+        self.identity = int(self.index(np.eye(e.shape[-1], dtype=np.int64)))
+        self.inverse = np.argmax(self.mul == self.identity, axis=1)
+
+    def index(self, mats) -> np.ndarray:
+        """The indices of the matrices mats[..., :, :], entries taken mod q."""
+        mats = np.asarray(mats) % self.q
+        codes = _codes(mats.reshape(-1, *mats.shape[-2:]), self.q)
+        pos = np.searchsorted(self.codes, codes).clip(max=len(self.codes) - 1)
+        if (self.codes[pos] != codes).any():
+            raise VerificationFailure("a matrix lies outside the group")
+        return pos.reshape(mats.shape[:-2])
 
 
 # ---------------------------------------------------------------------------
@@ -120,37 +150,20 @@ def _binary_space(q: int, variant: str) -> BinarySpace:
     return BinarySpace(q, "-", gram)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteDualPair:
     """SL2(q) paired with the isometry group of one binary quadratic space."""
 
     q: int
     variant: str
     space: BinarySpace
-    sp_elements: tuple
-    o_elements: tuple
-    rotations: tuple  # o-element keys in the order of powers of the norm-one generator
+    sl2: MatrixGroup
+    o2: MatrixGroup
+    rotations: np.ndarray  # indices into o2, in the order of powers of the norm-one generator
 
     @property
     def rotation_order(self) -> int:
         return len(self.rotations)
-
-
-def _gl2_elements(q: int):
-    """GL2(q) in lexicographic order of the entries (a, b, c, d)."""
-    return [((a, b), (c, d)) for a in range(q) for b in range(q) for c in range(q)
-            for d in range(q) if (a * d - b * c) % q]
-
-
-def _sl2_elements(q: int):
-    return [m for m in _gl2_elements(q) if (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % q == 1]
-
-
-def _orthogonal_elements(space: BinarySpace):
-    """The m in GL2(q) with m^T G m = G for the polar Gram matrix G; for odd
-    q these are exactly the m with Q(mv) = Q(v), as Q(v) = B(v, v) / 2."""
-    q, g = space.q, space.gram
-    return [m for m in _gl2_elements(q) if _matmul(tuple(zip(*m)), _matmul(g, m, q), q) == g]
 
 
 def _multiplication_matrices(g, order):
@@ -160,9 +173,9 @@ def _multiplication_matrices(g, order):
     basis = [field.gen() ** k for k in range(field.f)]
     mats, cur = [], field.one()
     for _ in range(order):
-        mats.append(tuple(zip(*((cur * b).coeffs for b in basis))))
+        mats.append([(cur * b).coeffs for b in basis])
         cur = cur * g
-    return mats
+    return np.swapaxes(np.array(mats, dtype=np.int8), 1, 2)
 
 
 def _rotation_list(space: BinarySpace):
@@ -173,7 +186,7 @@ def _rotation_list(space: BinarySpace):
     if space.variant == "-":
         return _multiplication_matrices(fq_norm1_generator(fq_make(q, 1), 1), q + 1)
     g0 = fq_multiplicative_generator(fq_make(q, 1)).coeffs[0]
-    return [((pow(g0, j, q), 0), (0, pow(g0, -j, q))) for j in range(q - 1)]
+    return np.array([np.diag([pow(g0, j, q), pow(g0, -j, q)]) for j in range(q - 1)])
 
 
 @lru_cache(maxsize=None)
@@ -183,16 +196,21 @@ def dual_pair(q: int, variant: str) -> FiniteDualPair:
     if variant not in ("+", "-"):
         raise DomainError("variant must be '+' or '-'")
     space = _binary_space(q, variant)
-    sp = tuple(_sl2_elements(q))
-    o = tuple(_orthogonal_elements(space))
+    # every 2 x 2 matrix over F_q, in lexicographic (so code) order; SL2 is
+    # det = 1, and O(V) is m^T G m = G for the polar Gram matrix G, which for
+    # odd q is exactly Q(mv) = Q(v), as Q(v) = B(v, v) / 2
+    mats = np.indices((q,) * 4).reshape(4, -1).T.reshape(-1, 2, 2)
+    gram = np.array(space.gram)
+    det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
+    sl2 = MatrixGroup(mats[det % q == 1], q)
+    o2 = MatrixGroup(mats[(np.swapaxes(mats, 1, 2) @ gram @ mats % q == gram).all(axis=(1, 2))], q)
     expect = 2 * (q - 1) if variant == "+" else 2 * (q + 1)
-    if len(sp) != q * (q * q - 1) or len(o) != expect:
+    if len(sl2.elements) != q * (q * q - 1) or len(o2.elements) != expect:
         raise VerificationFailure("group orders are off")
-    rotations = tuple(_rotation_list(space))
-    rot_set = set(rotations)
-    if not rot_set <= set(o) or len(rot_set) != expect // 2:
+    rotations = o2.index(_rotation_list(space))
+    if len(set(rotations.tolist())) != expect // 2:
         raise VerificationFailure("rotation subgroup does not sit in O(V)")
-    return FiniteDualPair(q, variant, space, sp, o, rotations)
+    return FiniteDualPair(q, variant, space, sl2, o2, rotations)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +220,7 @@ def dual_pair(q: int, variant: str) -> FiniteDualPair:
 @dataclass
 class RepMatrixSet:
     """The oscillator representation on functions on V, with every array in
-    the order of pair.sp_elements and pair.o_elements.
+    the element order of pair.sl2 and pair.o2.
 
     sp[i] is the matrix of the i-th element g of SL2(q); the j-th element h
     of O(V) acts by the index permutation f -> f[perm[j]], which commutes
@@ -239,7 +257,6 @@ def build_weil_rep(q: int, variant: str) -> RepMatrixSet:
     psi = _psi(q)
     vecs = space.vectors()
     dim = len(vecs)
-    index = {v: i for i, v in enumerate(vecs)}
 
     def n_mat(b):
         return np.diag([psi(b * space.quad(v)) for v in vecs])
@@ -259,35 +276,35 @@ def build_weil_rep(q: int, variant: str) -> RepMatrixSet:
     ):
         raise NormalizationFailure("relation normalization failed")
 
-    w_key = ((0, 1), (q - 1, 0))
-    gens = {w_key: w_mat}
-    for b in range(1, q):
-        gens[((1, b), (0, 1))] = n_mat(b)
+    sl2 = pair.sl2
+    gens = sl2.index([[[0, 1], [-1, 0]]] + [[[1, b], [0, 1]] for b in range(1, q)])
+    gen_mats = [w_mat] + [n_mat(b) for b in range(1, q)]
 
-    pos = {g: i for i, g in enumerate(pair.sp_elements)}
-    sp = np.empty((len(pos), dim, dim), dtype=complex)
-    sp[pos[_IDENTITY]] = np.eye(dim)
-    reached, frontier = {_IDENTITY}, [_IDENTITY]
+    sp = np.empty((len(sl2.elements), dim, dim), dtype=complex)
+    sp[sl2.identity] = np.eye(dim)
+    reached = np.zeros(len(sp), dtype=bool)
+    reached[sl2.identity] = True
+    frontier = [sl2.identity]
     while frontier:
         nxt = []
         for cur in frontier:
-            for gk, gm in gens.items():
-                new = _matmul(gk, cur, q)
-                cand = gm @ sp[pos[cur]]
-                if new in reached:
-                    if np.max(np.abs(sp[pos[new]] - cand)) > MAT_TOL:
+            for gk, gm in zip(gens, gen_mats):
+                new = sl2.mul[gk, cur]
+                cand = gm @ sp[cur]
+                if reached[new]:
+                    if np.max(np.abs(sp[new] - cand)) > MAT_TOL:
                         raise NormalizationFailure("inconsistent Cayley collision")
                 else:
-                    sp[pos[new]] = cand
-                    reached.add(new)
+                    sp[new] = cand
+                    reached[new] = True
                     nxt.append(new)
         frontier = nxt
-    if len(reached) != len(pos):
+    if not reached.all():
         raise NormalizationFailure("generators did not reach the whole group")
 
-    perm = np.array(
-        [[index[_matvec(_mat_inverse(h, q), v, q)] for v in vecs] for h in pair.o_elements]
-    )
+    # vectors are in code order, so h acts by the argsort of the codes of h v
+    hv = pair.o2.elements @ np.array(vecs).T % q
+    perm = np.argsort(hv[:, 0] * q + hv[:, 1], axis=1)
     # P S P^-1 = S entrywise for each g and the permutation matrix P of each perm;
     # one g at a time keeps the temporaries at |O| d^2 entries
     for s in sp:
@@ -296,64 +313,52 @@ def build_weil_rep(q: int, variant: str) -> RepMatrixSet:
     return RepMatrixSet(pair, sp, perm, sp[:, np.arange(dim), perm].sum(-1))
 
 
-def _mat_inverse(m, q):
-    """Inverse of a 2x2 matrix over F_q; every caller passes a 2x2 matrix."""
-    (a, b), (c, d) = m
-    dinv = pow((a * d - b * c) % q, -1, q)
-    return ((d * dinv) % q, (-b * dinv) % q), ((-c * dinv) % q, (a * dinv) % q)
-
-
 # ---------------------------------------------------------------------------
 # class functions
 
 
 @dataclass
 class ClassFunction:
-    """A class function given by its values on every group element."""
+    """A class function given by its values on the elements of a group, in
+    their order."""
 
-    group: str  # 'sp' or 'o'
-    values: dict
+    group: MatrixGroup
+    values: np.ndarray  # complex
     label: str
 
     def degree(self) -> complex:
-        return self.values[_IDENTITY]
+        return self.values[self.group.identity]
 
     def inner(self, other: "ClassFunction") -> complex:
-        n = len(self.values)
-        return sum(self.values[k] * other.values[k].conjugate() for k in self.values) / n
+        return np.vdot(other.values, self.values) / len(self.values)
 
     def close_to(self, other: "ClassFunction") -> bool:
-        return all(abs(self.values[k] - other.values[k]) < MULT_TOL for k in self.values)
+        return bool(np.all(np.abs(self.values - other.values) < MULT_TOL))
 
 
 @lru_cache(maxsize=None)
 def _sl2_class_keys(q: int):
-    """Class label of every SL2(q) element.
+    """Class label of every SL2(q) element, in group order.
 
     Labels: identity, minus, (unipot, sign, eps) for +-(unipotent) with the
-    square class of the symplectic invariant <Nv, v>, (split, {x, 1/x}),
-    (ell, trace)."""
-    out = {}
-    for g in _sl2_elements(q):
-        (a, b), (c, d) = g
+    square class of the symplectic invariant <Nv, v> of N = +-g - 1,
+    (split, {x, 1/x}), (ell, trace)."""
+    out = []
+    for a, b, c, d in dual_pair(q, "-").sl2.elements.reshape(-1, 4).tolist():
         tr = (a + d) % q
-        if g == _IDENTITY:
-            out[g] = ("id",)
-        elif g == ((q - 1, 0), (0, q - 1)):
-            out[g] = ("minus",)
+        if (a, b, c, d) == (1, 0, 0, 1):
+            out.append(("id",))
+        elif (a, b, c, d) == (q - 1, 0, 0, q - 1):
+            out.append(("minus",))
         elif tr == 2 or tr == q - 2:
             sign = 1 if tr == 2 else -1
-            h = g if sign == 1 else _matmul(((q - 1, 0), (0, q - 1)), g, q)
-            nmat = ((h[0][0] - 1, h[0][1]), (h[1][0], h[1][1] - 1))
-            v = (1, 0) if _matvec(nmat, (1, 0), q) != (0, 0) else (0, 1)
-            nv = _matvec(nmat, v, q)
-            inv = (nv[0] * v[1] - nv[1] * v[0]) % q
-            out[g] = ("unipot", sign, fq_legendre(inv, q))
+            # N is nonzero and nilpotent: <N e1, e1> = -sign c, or <N e2, e2> = sign b when c = 0
+            out.append(("unipot", sign, fq_legendre(-sign * c if c else sign * b, q)))
         elif fq_legendre(tr * tr - 4, q) == 1:  # tr != +-2 here, so the argument is a unit
             roots = [x for x in range(1, q) if (x * x - tr * x + 1) % q == 0]
-            out[g] = ("split", frozenset(roots))
+            out.append(("split", frozenset(roots)))
         else:
-            out[g] = ("ell", tr)
+            out.append(("ell", tr))
     return out
 
 
@@ -377,7 +382,6 @@ def dl_regular_character(q: int, torus: str, exponent: int) -> ClassFunction:
     """Deligne-Lusztig character of SL2(q) for a torus character in general
     position: discrete series of degree q - 1 for the nonsplit torus,
     principal series of degree q + 1 for the split torus."""
-    keys = _sl2_class_keys(q)
     if torus == "nonsplit":
         n = q + 1
         if (2 * exponent) % n == 0:
@@ -385,21 +389,20 @@ def dl_regular_character(q: int, torus: str, exponent: int) -> ClassFunction:
         zeta = cmath.exp(2j * cmath.pi / n)
         sign_z = (-1) ** (exponent % 2) if n % 2 == 0 else zeta ** (exponent * (n // 2))
         tr_index = _nonsplit_trace_index(q)
-        values = {}
-        for g, key in keys.items():
+        label = f"ds[{exponent}]"
+
+        def value(key):
             if key == ("id",):
-                values[g] = complex(q - 1)
-            elif key == ("minus",):
-                values[g] = sign_z * (q - 1)
-            elif key[0] == "unipot":
-                values[g] = complex(-1) if key[1] == 1 else -sign_z
-            elif key[0] == "split":
-                values[g] = 0j
-            else:
-                j = tr_index[key[1]]
-                values[g] = -(zeta ** (exponent * j) + zeta ** (-exponent * j))
-        return ClassFunction("sp", values, f"ds[{exponent}]")
-    if torus == "split":
+                return complex(q - 1)
+            if key == ("minus",):
+                return sign_z * (q - 1)
+            if key[0] == "unipot":
+                return complex(-1) if key[1] == 1 else -sign_z
+            if key[0] == "split":
+                return 0j
+            j = tr_index[key[1]]
+            return -(zeta ** (exponent * j) + zeta ** (-exponent * j))
+    elif torus == "split":
         n = q - 1
         if (2 * exponent) % n == 0:
             raise NotGeneralPositionFinite(f"exponent {exponent} mod {n} is not regular")
@@ -407,22 +410,23 @@ def dl_regular_character(q: int, torus: str, exponent: int) -> ClassFunction:
         g0 = fq_multiplicative_generator(fq_make(q, 1)).coeffs[0]
         dlog = {pow(g0, j, q): j for j in range(n)}
         sign_z = zeta ** (exponent * (n // 2))
-        values = {}
-        for g, key in keys.items():
+        label = f"ps[{exponent}]"
+
+        def value(key):
             if key == ("id",):
-                values[g] = complex(q + 1)
-            elif key == ("minus",):
-                values[g] = sign_z * (q + 1)
-            elif key[0] == "unipot":
-                values[g] = complex(1) if key[1] == 1 else sign_z
-            elif key[0] == "split":
-                x = min(key[1])
-                j = dlog[x]
-                values[g] = zeta ** (exponent * j) + zeta ** (-exponent * j)
-            else:
-                values[g] = 0j
-        return ClassFunction("sp", values, f"ps[{exponent}]")
-    raise DomainError("torus must be 'split' or 'nonsplit'")
+                return complex(q + 1)
+            if key == ("minus",):
+                return sign_z * (q + 1)
+            if key[0] == "unipot":
+                return complex(1) if key[1] == 1 else sign_z
+            if key[0] == "split":
+                j = dlog[min(key[1])]
+                return zeta ** (exponent * j) + zeta ** (-exponent * j)
+            return 0j
+    else:
+        raise DomainError("torus must be 'split' or 'nonsplit'")
+    values = np.array([value(key) for key in _sl2_class_keys(q)])
+    return ClassFunction(dual_pair(q, "-").sl2, values, label)
 
 
 class NotGeneralPositionFinite(DomainError):
@@ -430,27 +434,17 @@ class NotGeneralPositionFinite(DomainError):
 
 
 def _o2_decompose(pair: FiniteDualPair):
-    """(rotation index, is_reflection) for every element of O(V); a
-    reflection h is written as rotation * seed with a fixed seed."""
-    rot_index = {m: j for j, m in enumerate(pair.rotations)}
-    seed_inv = _mat_inverse(_reflection_seed(pair), pair.q)
-    out = {}
-    for h in pair.o_elements:
-        refl = h not in rot_index
-        j = rot_index.get(_matmul(h, seed_inv, pair.q) if refl else h)
-        if j is None:
-            raise VerificationFailure("element is neither rotation nor reflection")
-        out[h] = (j, refl)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _reflection_seed(pair: FiniteDualPair):
-    rot = set(pair.rotations)
-    for h in pair.o_elements:
-        if h not in rot:
-            return h
-    raise VerificationFailure("no reflection found")
+    """The rotation index j and the reflection flag of every element of O(V),
+    as two arrays: a reflection h is rotations[j] * seed, the seed being the
+    first reflection."""
+    o2 = pair.o2
+    rot_index = np.full(len(o2.elements), -1)
+    rot_index[pair.rotations] = np.arange(len(pair.rotations))
+    refl = rot_index < 0
+    j = np.where(refl, rot_index[o2.mul[:, o2.inverse[np.argmax(refl)]]], rot_index)
+    if (j < 0).any():
+        raise VerificationFailure("element is neither rotation nor reflection")
+    return j, refl
 
 
 def o2_induced_character(pair: FiniteDualPair, exponent: int) -> ClassFunction:
@@ -460,11 +454,10 @@ def o2_induced_character(pair: FiniteDualPair, exponent: int) -> ClassFunction:
     if (2 * exponent) % n == 0:
         raise NotGeneralPositionFinite(f"exponent {exponent} mod {n} does not induce irreducibly")
     zeta = cmath.exp(2j * cmath.pi / n)
-    dec = _o2_decompose(pair)
-    values = {}
-    for h, (j, refl) in dec.items():
-        values[h] = 0j if refl else zeta ** (exponent * j) + zeta ** (-exponent * j)
-    return ClassFunction("o", values, f"ind[{exponent}]")
+    j, refl = _o2_decompose(pair)
+    values = [0j if r else zeta ** (exponent * k) + zeta ** (-exponent * k)
+              for k, r in zip(j.tolist(), refl.tolist())]
+    return ClassFunction(pair.o2, np.array(values), f"ind[{exponent}]")
 
 
 def o2_one_dimensionals(pair: FiniteDualPair):
@@ -473,16 +466,13 @@ def o2_one_dimensionals(pair: FiniteDualPair):
     n = pair.rotation_order
     if n % 2:
         raise VerificationFailure("rotation order should be even for odd q")
-    dec = _o2_decompose(pair)
-    out = []
-    for rot_sign in (1, -1):
-        for refl_sign in (1, -1):
-            values = {
-                h: complex(rot_sign**j * (refl_sign if refl else 1))
-                for h, (j, refl) in dec.items()
-            }
-            out.append(ClassFunction("o", values, f"lin[{rot_sign},{refl_sign}]"))
-    return out
+    j, refl = _o2_decompose(pair)
+    return [
+        ClassFunction(pair.o2, (rot_sign**j * np.where(refl, refl_sign, 1)).astype(complex),
+                      f"lin[{rot_sign},{refl_sign}]")
+        for rot_sign in (1, -1)
+        for refl_sign in (1, -1)
+    ]
 
 
 def o2_irreducibles(pair: FiniteDualPair):
@@ -505,9 +495,7 @@ def sl2_regular_exponents(q: int):
 def theta_multiplicity(rep: RepMatrixSet, pi: ClassFunction, rho: ClassFunction) -> int:
     """Multiplicity of pi x rho in the oscillator representation:
     the normalized double character sum, with an integrality assertion."""
-    cpi = np.conj([pi.values[g] for g in rep.pair.sp_elements])
-    crho = np.conj([rho.values[h] for h in rep.pair.o_elements])
-    total = complex(cpi @ rep.traces @ crho) / rep.traces.size
+    total = complex(np.conj(pi.values) @ rep.traces @ np.conj(rho.values)) / rep.traces.size
     m = round(total.real)
     if abs(total - m) > MULT_TOL or m < 0:
         raise NonIntegralMultiplicity(f"<omega, {pi.label} x {rho.label}> = {total}")
@@ -562,42 +550,30 @@ def verify_finite_theta(q: int) -> dict:
 # numerical character tables (class-algebra eigenvectors) and group tools
 
 
-def conjugacy_classes(elements, q):
-    elems = list(elements)
-    index = {e: i for i, e in enumerate(elems)}
-    unassigned = set(elems)
-    classes = []
-    while unassigned:
-        g = next(iter(unassigned))
-        orbit = {
-            _matmul(_matmul(x, g, q), _mat_inverse(x, q), q) for x in elems
-        }
-        classes.append(sorted(orbit, key=lambda e: index[e]))
-        unassigned -= orbit
-    classes.sort(key=lambda cl: (cl[0] != _IDENTITY, len(cl), index[cl[0]]))
+def conjugacy_classes(group: MatrixGroup):
+    """The conjugacy classes as increasing index arrays: the identity first,
+    then by size and first index."""
+    first = group.mul[group.mul, group.inverse[:, None]].min(axis=0)  # min over x of x g x^-1
+    classes = [np.flatnonzero(first == r) for r in np.unique(first)]
+    classes.sort(key=lambda cl: (cl[0] != group.identity, len(cl), cl[0]))
     return classes
 
 
-def numerical_character_table(elements, q):
+def numerical_character_table(group: MatrixGroup):
     """Irreducible characters of a small matrix group, via simultaneous
-    eigenvectors of the class-sum multiplication matrices.  Returns
-    (classes, list of per-element ClassFunction-style dicts)."""
-    elems = list(elements)
-    classes = conjugacy_classes(elems, q)
+    eigenvectors of the class-sum multiplication matrices."""
+    classes = conjugacy_classes(group)
     ncl = len(classes)
-    cls_of = {}
+    cls_of = np.empty(len(group.elements), dtype=int)
     for ci, cl in enumerate(classes):
-        for e in cl:
-            cls_of[e] = ci
+        cls_of[cl] = ci
     reps = [cl[0] for cl in classes]
-    # class multiplication: T_i[j][k] = #{x in C_i : x * (y_k-ish)} with fixed
-    # z_k representative: count pairs x in C_i, y in C_j with x y = z_k
+    # class multiplication: tables[i, j, k] counts the x in C_i with x^-1 z_k
+    # in C_j, z_k the representative of C_k
     tables = np.zeros((ncl, ncl, ncl))
     for i, cl in enumerate(classes):
-        for k, z in enumerate(reps):
-            for x in cl:
-                y = _matmul(_mat_inverse(x, q), z, q)
-                tables[i, cls_of[y], k] += 1
+        ys = cls_of[group.mul[group.inverse[cl][:, None], reps]]
+        np.add.at(tables[i], (ys, np.arange(ncl)), 1)
     rng = np.random.default_rng(1)
     for _ in range(8):
         coeffs = rng.standard_normal(ncl)
@@ -607,7 +583,6 @@ def numerical_character_table(elements, q):
             break
     else:
         raise VerificationFailure("could not split the class algebra")
-    order = len(elems)
     sizes = np.array([len(cl) for cl in classes], dtype=float)
     chars = []
     for t in range(ncl):
@@ -615,42 +590,28 @@ def numerical_character_table(elements, q):
         v = v / v[0]  # central character values omega_j, normalized at 1
         # chi_j = d * omega_j / |C_j| with d fixed by sum |C_j||chi_j|^2 = |G|
         norm = float(np.real(np.sum(v * np.conj(v) / sizes)))
-        d = (order / norm) ** 0.5
-        chi = d * v / sizes
-        chars.append({reps[j]: complex(chi[j]) for j in range(ncl)})
-    return classes, cls_of, chars
+        d = (len(group.elements) / norm) ** 0.5
+        chars.append(ClassFunction(group, (d * v / sizes)[cls_of], "num"))
+    return chars
 
 
 def decomposition_dimension_check(q: int, variant: str) -> bool:
     """Full decomposition accounting: sum over all irreducible pairs of
     multiplicity * deg(pi) * deg(rho) equals q^2."""
     rep = build_weil_rep(q, variant)
-    pair = rep.pair
-    cls_sp, cls_of_sp, chars_sp = numerical_character_table(pair.sp_elements, q)
-    cls_o, cls_of_o, chars_o = numerical_character_table(pair.o_elements, q)
+    chars_o = numerical_character_table(rep.pair.o2)
     total = 0
-    for chi_sp in chars_sp:
-        pi = ClassFunction("sp", {g: chi_sp[cls_sp[cls_of_sp[g]][0]] for g in pair.sp_elements}, "num")
-        for chi_o in chars_o:
-            rho = ClassFunction("o", {h: chi_o[cls_o[cls_of_o[h]][0]] for h in pair.o_elements}, "num")
+    for pi in numerical_character_table(rep.pair.sl2):
+        for rho in chars_o:
             m = theta_multiplicity(rep, pi, rho)
             total += m * round(abs(pi.degree())) * round(abs(rho.degree()))
     return total == q * q
 
 
 # ---------------------------------------------------------------------------
-# Weyl-group form validation by brute-force normalizers.  Elements are small-int
-# numpy matrices keyed by the exact code sum_k entry_k q^k of their entries
-# (< q^16 < 2^63 for 4 x 4 at q <= 5); the closure is a level-at-a-time BFS on
-# codes, and g normalizes T = <t_1> iff g t_1 = t_j g, j being its multiplier.
-
-
-def _codes(mats, q):
-    flat = np.asarray(mats).reshape(len(mats), -1)
-    codes = np.zeros(len(flat), dtype=np.int64)
-    for col in flat.T[::-1]:
-        codes = codes * q + col
-    return codes
+# Weyl-group form validation by brute-force normalizers.  The closure is a
+# level-at-a-time BFS on codes, and g normalizes T = <t_1> iff g t_1 = t_j g,
+# j being its multiplier.
 
 
 def _mulclose(gens, q, limit=10**7):
@@ -700,9 +661,10 @@ def validate_weyl_form_rank1(q: int) -> dict:
     powers {1, q} on exponents."""
     pair = dual_pair(q, "-")
     expected = sorted({1 % (q + 1), q % (q + 1)})
+    torus = pair.o2.elements[pair.rotations]
     out = {}
-    for name, group in (("sl2", pair.sp_elements), ("o2", pair.o_elements)):
-        actions = normalizer_exponent_actions(group, pair.rotations, q)
+    for name, group in (("sl2", pair.sl2), ("o2", pair.o2)):
+        actions = normalizer_exponent_actions(group.elements, torus, q)
         out[name] = {
             "weyl_order": sum(actions.values()) // len(pair.rotations),
             "actions": sorted(actions),
@@ -746,20 +708,11 @@ def _torus_matrices_in_sp4(q: int):
 
 
 def _sp4_transvections(q: int, gram):
-    """Generators of Sp4(q): symplectic transvections x -> x + <x, v> v."""
-    def form(u, v):
-        return sum(gram[i][j] * u[i] * v[j] for i in range(4) for j in range(4)) % q
-
-    gens = []
-    seeds = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 0, 0), (0, 1, 1, 1)]
-    for v in seeds:
-        cols = []
-        for k in range(4):
-            e = tuple(1 if i == k else 0 for i in range(4))
-            w = tuple((e[i] + form(e, v) * v[i]) % q for i in range(4))
-            cols.append(w)
-        gens.append(tuple(tuple(cols[j][i] for j in range(4)) for i in range(4)))
-    return gens
+    """Generators of Sp4(q): the symplectic transvections x -> x + <x, v> v,
+    whose matrices are I + v (J v)^T for the Gram matrix J."""
+    seeds = np.vstack([np.eye(4, dtype=np.int64), [[1, 1, 0, 0], [0, 1, 1, 1]]])
+    jv = seeds @ np.array(gram).T
+    return (np.eye(4, dtype=np.int64) + seeds[:, :, None] * jv[:, None, :]) % q
 
 
 def validate_weyl_form_rank2(q: int = 3) -> dict:

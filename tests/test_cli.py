@@ -3,6 +3,8 @@ import random
 import subprocess
 import sys
 
+import pytest
+
 from thetaparam.cli import datum_to_json, load_document, main, parse_datum
 from thetaparam.quadform import QuadInvariants, invariants_of_orthogonal_datum
 from thetaparam.localfield import SQ_U
@@ -68,10 +70,24 @@ def test_schema_error_exits_two(tmp_path):
     assert json.loads(out.read_text())["kind"] == "schema"
 
 
-def test_io_error_exits_two(tmp_path):
-    out = tmp_path / "r.json"
-    code = main(["--out", str(out), "validate", str(tmp_path / "missing.json")])
+@pytest.mark.parametrize(
+    "case", ["missing", "undecodable", "nested_too_deep", "out_in_missing_dir", "out_is_a_dir"]
+)
+def test_io_error_exits_two(tmp_path, capsys, case):
+    # each case yields exit 2 and one JSON report, in --out or, if that cannot be written, on stdout
+    path = tmp_path / "d.json"
+    if case == "undecodable":
+        path.write_bytes(b'{"a": 1}\xff')
+    elif case == "nested_too_deep":
+        path.write_text("[" * 100000 + "]" * 100000)
+    elif case != "missing":
+        path.write_text(json.dumps(DEPTH_ZERO))
+    out = {"out_in_missing_dir": tmp_path / "nonexistent" / "x.json", "out_is_a_dir": tmp_path}
+    out = out.get(case, tmp_path / "r.json")
+    code = main(["--out", str(out), "validate", str(path)])
     assert code == 2
+    text = out.read_text() if out.is_file() else capsys.readouterr().out
+    assert json.loads(text)["kind"] == "schema"
 
 
 def test_lift_report_content_and_round_trip(tmp_path):

@@ -7,17 +7,13 @@ from thetaparam.finitetheta import (
     ClassFunction,
     NotGeneralPositionFinite,
     VerificationFailure,
-    _mat_inverse,
-    _matmul,
-    _matvec,
     _mulclose,
     _o2_decompose,
-    _orthogonal_elements,
-    _reflection_seed,
-    _sl2_elements,
+    _sl2_class_keys,
     _sp4_transvections,
     _torus_matrices_in_sp4,
     build_weil_rep,
+    conjugacy_classes,
     decomposition_dimension_check,
     dl_regular_character,
     dual_pair,
@@ -41,9 +37,9 @@ from thetaparam.finitetheta import (
 def test_group_orders(q):
     plus = dual_pair(q, "+")
     minus = dual_pair(q, "-")
-    assert len(plus.sp_elements) == q * (q * q - 1)
-    assert len(plus.o_elements) == 2 * (q - 1)
-    assert len(minus.o_elements) == 2 * (q + 1)
+    assert len(plus.sl2.elements) == q * (q * q - 1)
+    assert len(plus.o2.elements) == 2 * (q - 1)
+    assert len(minus.o2.elements) == 2 * (q + 1)
     assert plus.rotation_order == q - 1 and minus.rotation_order == q + 1
 
 
@@ -57,24 +53,60 @@ def test_orthogonal_elements_match_the_quadratic_form_definition(q, variant):
         for b in range(q):
             for c in range(q):
                 for d in range(q):
-                    m = ((a, b), (c, d))
                     if (a * d - b * c) % q and all(
-                        space.quad(_matvec(m, v, q)) == space.quad(v) for v in space.vectors()
+                        space.quad(((a * x + b * y) % q, (c * x + d * y) % q)) == space.quad((x, y))
+                        for x, y in space.vectors()
                     ):
-                        expected.append(m)
-    assert _orthogonal_elements(space) == expected
+                        expected.append([[a, b], [c, d]])
+    assert dual_pair(q, variant).o2.elements.tolist() == expected
+
+
+@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("variant", ["+", "-"])
+def test_group_tables_match_matrix_products(q, variant):
+    pair = dual_pair(q, variant)
+    for group in (pair.sl2, pair.o2):
+        e = group.elements.astype(np.int64)
+        flat = e.reshape(len(e), -1).tolist()
+        assert flat == sorted(flat)  # code order is the lexicographic order of the entries
+        assert np.array_equal(e[group.mul], e[:, None] @ e[None] % q)
+        assert np.array_equal(e[group.inverse] @ e % q, np.broadcast_to(np.eye(2), e.shape))
+        assert np.array_equal(e[group.identity], np.eye(2))
+        assert np.array_equal(group.index(e), np.arange(len(e)))
+    with pytest.raises(VerificationFailure):
+        pair.sl2.index([[2, 0], [0, 1]])
+    with pytest.raises(VerificationFailure):
+        pair.o2.index([[1, 1], [0, 1]])
 
 
 @pytest.mark.parametrize("q", [3, 5])
 @pytest.mark.parametrize("variant", ["+", "-"])
 def test_o2_decompose_writes_reflections_as_rotation_times_seed(q, variant):
     pair = dual_pair(q, variant)
-    seed = _reflection_seed(pair)
-    dec = _o2_decompose(pair)
-    assert list(dec) == list(pair.o_elements)
-    for h, (j, refl) in dec.items():
-        assert h == (_matmul(pair.rotations[j], seed, q) if refl else pair.rotations[j])
-    assert sum(refl for _, refl in dec.values()) == len(pair.rotations)
+    elements = pair.o2.elements.astype(np.int64)
+    rotations = elements[pair.rotations]
+    seed = next(h for i, h in enumerate(elements) if i not in pair.rotations.tolist())
+    j, refl = _o2_decompose(pair)
+    assert len(j) == len(refl) == len(elements)
+    for h, jj, r in zip(elements, j, refl):
+        assert np.array_equal(h, rotations[jj] @ seed % q if r else rotations[jj])
+    assert refl.sum() == len(pair.rotations)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_sl2_classes_match_conjugation_by_adjugate(q):
+    # oracle: the orbit of g is every x g adj(x) / det(x), by dense products
+    sl2 = dual_pair(q, "-").sl2
+    e = sl2.elements.astype(np.int64)
+    adj = np.swapaxes(e[:, ::-1, ::-1], 1, 2) * [[1, -1], [-1, 1]]  # [[d, -b], [-c, a]]
+    conj = (e[:, None] @ e[None] @ adj[:, None] % q).reshape(len(e), len(e), 4)  # [x, g]
+    orbits = {tuple(sorted(set(map(tuple, conj[:, g].tolist())))) for g in range(len(e))}
+    key_of = dict(zip(map(tuple, e.reshape(-1, 4).tolist()), _sl2_class_keys(q)))
+    assert len(orbits) == q + 4
+    assert sorted(len({key_of[m] for m in orbit}) for orbit in orbits) == [1] * (q + 4)
+    assert len({key_of[orbit[0]] for orbit in orbits}) == q + 4
+    classes = {tuple(map(tuple, e[cl].reshape(-1, 4).tolist())) for cl in conjugacy_classes(sl2)}
+    assert classes == orbits
 
 
 def test_space_discriminants():
@@ -104,8 +136,9 @@ def test_weil_rep_dimension_and_identity():
     pair = rep.pair
     assert rep.sp.shape == (24, 9, 9) and rep.perm.shape == (8, 9)
     assert rep.traces.shape == (24, 8)
-    idk = ((1, 0), (0, 1))
-    gi, hi = pair.sp_elements.index(idk), pair.o_elements.index(idk)
+    gi, hi = pair.sl2.identity, pair.o2.identity
+    assert np.array_equal(pair.sl2.elements[gi], np.eye(2))
+    assert np.array_equal(pair.o2.elements[hi], np.eye(2))
     assert np.allclose(_omegas(rep, np.array([gi]), np.array([hi]))[0], np.eye(9))
     assert np.array_equal(rep.perm[hi], np.arange(9))
 
@@ -114,15 +147,13 @@ def test_weil_rep_dimension_and_identity():
 def test_weil_rep_multiplicativity_exhaustive_q3(variant):
     q = 3
     rep = build_weil_rep(q, variant)
-    pairs = [(g, h) for g in rep.pair.sp_elements for h in rep.pair.o_elements]
-    gi, hi = np.divmod(np.arange(len(pairs)), len(rep.pair.o_elements))
-    omega = dict(zip(pairs, _omegas(rep, gi, hi)))
-    for g1, h1 in pairs:
-        m1 = omega[g1, h1]
-        for g2, h2 in pairs:
-            lhs = m1 @ omega[g2, h2]
-            rhs = omega[_matmul(g1, g2, q), _matmul(h1, h2, q)]
-            assert np.max(np.abs(lhs - rhs)) < 1e-7
+    sl2, o2 = rep.pair.sl2, rep.pair.o2
+    n_o = len(o2.elements)
+    gi, hi = np.divmod(np.arange(len(sl2.elements) * n_o), n_o)
+    omega = _omegas(rep, gi, hi)  # omega[g * n_o + h] = omega(g, h)
+    for g1, h1, m1 in zip(gi, hi, omega):
+        rhs = omega[sl2.mul[g1, gi] * n_o + o2.mul[h1, hi]]
+        assert np.max(np.abs(m1 @ omega - rhs)) < 1e-7
 
 
 def test_weil_rep_multiplicativity_sampled_q5():
@@ -131,20 +162,14 @@ def test_weil_rep_multiplicativity_sampled_q5():
     total_checked = 0
     for variant in ("+", "-"):
         rep = build_weil_rep(q, variant)
-        sp_keys = rep.pair.sp_elements
-        o_keys = rep.pair.o_elements
+        sl2, o2 = rep.pair.sl2, rep.pair.o2
         n = 60000
-        gi1 = rng.integers(0, len(sp_keys), n)
-        gi2 = rng.integers(0, len(sp_keys), n)
-        hi1 = rng.integers(0, len(o_keys), n)
-        hi2 = rng.integers(0, len(o_keys), n)
-        # index of every product, looked up by key once per pair of elements
-        sp_index = {k: i for i, k in enumerate(sp_keys)}
-        o_index = {k: i for i, k in enumerate(o_keys)}
-        sp_table = np.array([[sp_index[_matmul(a, b, q)] for b in sp_keys] for a in sp_keys])
-        o_table = np.array([[o_index[_matmul(a, b, q)] for b in o_keys] for a in o_keys])
-        prod_idx_g = sp_table[gi1, gi2]
-        prod_idx_h = o_table[hi1, hi2]
+        gi1 = rng.integers(0, len(sl2.elements), n)
+        gi2 = rng.integers(0, len(sl2.elements), n)
+        hi1 = rng.integers(0, len(o2.elements), n)
+        hi2 = rng.integers(0, len(o2.elements), n)
+        prod_idx_g = sl2.mul[gi1, gi2]
+        prod_idx_h = o2.mul[hi1, hi2]
         chunk = 4000
         for lo in range(0, n, chunk):
             hi = min(lo + chunk, n)
@@ -189,10 +214,11 @@ def test_trace_squares_to_fixed_space_count():
     for q in (3, 5):
         for variant in ("+", "-"):
             rep = build_weil_rep(q, variant)
-            sp_keys, o_keys = rep.pair.sp_elements, rep.pair.o_elements
+            sl2, o2 = rep.pair.sl2, rep.pair.o2
             for _ in range(60):
-                g = rng.choice(sp_keys)
-                h = rng.choice(o_keys)
+                gi = rng.randrange(len(sl2.elements))
+                hi = rng.randrange(len(o2.elements))
+                g, h = sl2.elements[gi].tolist(), o2.elements[hi].tolist()
                 kron = [
                     [
                         (g[i1][j1] * h[i2][j2] - (1 if (i1, i2) == (j1, j2) else 0)) % q
@@ -203,7 +229,7 @@ def test_trace_squares_to_fixed_space_count():
                     for i2 in range(2)
                 ]
                 dim_fix = 4 - _rank_mod(kron, q)
-                tr = rep.traces[sp_keys.index(g), o_keys.index(h)]
+                tr = rep.traces[gi, hi]
                 assert abs(abs(tr) ** 2 - q**dim_fix) < 1e-5
 
 
@@ -233,12 +259,7 @@ def test_dl_character_rejects_non_regular():
 
 @pytest.mark.parametrize("q", [3, 5])
 def test_dl_characters_match_numerical_table(q):
-    pair = dual_pair(q, "-")
-    classes, cls_of, chars = numerical_character_table(pair.sp_elements, q)
-    numerical = [
-        ClassFunction("sp", {g: c[classes[cls_of[g]][0]] for g in pair.sp_elements}, "num")
-        for c in chars
-    ]
+    numerical = numerical_character_table(dual_pair(q, "-").sl2)
     for k in sl2_regular_exponents(q):
         chi = dl_regular_character(q, "nonsplit", k)
         hits = [nc for nc in numerical if abs(chi.inner(nc) - 1) < 1e-6]
@@ -261,7 +282,7 @@ def test_o2_characters(q):
                 assert abs(a.inner(b)) < 1e-9
         # sum of squares of degrees = |O|
         assert (
-            abs(sum(abs(chi.degree()) ** 2 for chi in irr) - len(pair.o_elements)) < 1e-6
+            abs(sum(abs(chi.degree()) ** 2 for chi in irr) - len(pair.o2.elements)) < 1e-6
         )
 
 
@@ -269,8 +290,8 @@ def test_o2_induced_degree_and_vanishing_on_reflections():
     pair = dual_pair(3, "-")
     rho = o2_induced_character(pair, 1)
     assert abs(rho.degree() - 2) < 1e-9
-    rot = set(pair.rotations)
-    for h in pair.o_elements:
+    rot = set(pair.rotations.tolist())
+    for h in range(len(pair.o2.elements)):
         if h not in rot:
             assert abs(rho.values[h]) < 1e-12
 
@@ -281,8 +302,8 @@ def test_o2_induced_degree_and_vanishing_on_reflections():
 def test_multiplicity_integrality_trivial_pair():
     rep = build_weil_rep(3, "-")
     pair = rep.pair
-    triv_sp = ClassFunction("sp", {g: 1 + 0j for g in pair.sp_elements}, "1")
-    triv_o = ClassFunction("o", {h: 1 + 0j for h in pair.o_elements}, "1")
+    triv_sp = ClassFunction(pair.sl2, np.ones(len(pair.sl2.elements), dtype=complex), "1")
+    triv_o = ClassFunction(pair.o2, np.ones(len(pair.o2.elements), dtype=complex), "1")
     m = theta_multiplicity(rep, triv_sp, triv_o)
     assert m >= 0
 
@@ -295,9 +316,9 @@ def test_theta_multiplicity_matches_double_character_sum(q, variant):
     rep = build_weil_rep(q, variant)
     pair = rep.pair
     traces = {
-        (g, h): np.trace(rep.sp[i] @ np.eye(q * q)[rep.perm[j]])
-        for i, g in enumerate(pair.sp_elements)
-        for j, h in enumerate(pair.o_elements)
+        (g, h): np.trace(rep.sp[g] @ np.eye(q * q)[rep.perm[h]])
+        for g in range(len(pair.sl2.elements))
+        for h in range(len(pair.o2.elements))
     }
     pis = [dl_regular_character(q, "nonsplit", k) for k in sl2_regular_exponents(q)]
     pis += [dl_regular_character(q, "split", a) for a in range(1, q - 1) if (2 * a) % (q - 1)]
@@ -377,8 +398,12 @@ def test_weyl_form_rank2_sp4():
 # -- integer-coded closure and normalizer against brute force
 
 
+def _keys_list(mats):
+    return [tuple(map(tuple, m)) for m in np.asarray(mats).tolist()]
+
+
 def _keys(mats):
-    return {tuple(map(tuple, m)) for m in np.asarray(mats).tolist()}
+    return set(_keys_list(mats))
 
 
 @pytest.mark.parametrize("q", [3, 5])
@@ -386,14 +411,18 @@ def test_mulclose_sl2_matches_enumeration(q):
     gens = [((0, 1), (q - 1, 0)), ((1, 1), (0, 1))]
     group = _mulclose(gens, q)
     assert len(group) == q * (q * q - 1)
-    assert _keys(group) == set(_sl2_elements(q))
+    r = range(q)
+    assert _keys(group) == {((a, b), (c, d)) for a in r for b in r for c in r for d in r
+                            if (a * d - b * c) % q == 1}
 
 
 def _conjugation_oracle(group, torus, q):
-    index = {t: j for j, t in enumerate(torus)}
+    index = {t: j for j, t in enumerate(_keys_list(torus))}
     actions = {}
-    for g in group:
-        img = _matmul(_matmul(g, torus[1], q), _mat_inverse(g, q), q)
+    for g in np.asarray(group, dtype=np.int64):
+        (a, b), (c, d) = g.tolist()
+        g_inv = np.array([[d, -b], [-c, a]]) * pow(a * d - b * c, -1, q)  # the adjugate over det
+        img = tuple(map(tuple, (g @ torus[1] @ g_inv % q).tolist()))
         if img in index:
             actions[index[img]] = actions.get(index[img], 0) + 1
     return actions
@@ -404,8 +433,8 @@ def _conjugation_oracle(group, torus, q):
 def test_normalizer_matches_conjugation_oracle(q, group_name):
     variant = "+" if group_name == "o2+" else "-"
     pair = dual_pair(q, variant)
-    group = pair.sp_elements if group_name == "sl2" else pair.o_elements
-    torus = list(pair.rotations)
+    group = (pair.sl2 if group_name == "sl2" else pair.o2).elements
+    torus = pair.o2.elements[pair.rotations].astype(np.int64)
     expected = _conjugation_oracle(group, torus, q)
     actions = normalizer_exponent_actions(group, torus, q)
     assert dict(actions) == expected
