@@ -15,9 +15,11 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 
-import jsonschema
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from . import __version__
 from .errors import DomainError
@@ -50,22 +52,21 @@ from .torusdata import (
     datum_equivalent,
     validate,
 )
-from .finitetheta import validate_weyl_form_rank1, verify_finite_theta
 
 
 class SchemaError(Exception):
     pass
 
 
-_SCHEMA_CACHE = None
-
-
-def _schema():
-    global _SCHEMA_CACHE
-    if _SCHEMA_CACHE is None:
-        with resources.files("thetaparam.schemas").joinpath("datum.schema.json").open() as fh:
-            _SCHEMA_CACHE = json.load(fh)
-    return _SCHEMA_CACHE
+@lru_cache(maxsize=None)
+def _validator():
+    """The datum schema's validator, checked against its metaschema once
+    per process."""
+    with resources.files("thetaparam.schemas").joinpath("datum.schema.json").open() as fh:
+        schema = json.load(fh)
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def load_document(path: str) -> tuple[dict, str]:
@@ -79,10 +80,9 @@ def load_document(path: str) -> tuple[dict, str]:
         doc = json.loads(raw)
     except (ValueError, RecursionError) as ex:  # also undecodable bytes and too deep nesting
         raise SchemaError(f"{path} is not valid JSON: {ex}") from ex
-    try:
-        jsonschema.validate(doc, _schema())
-    except jsonschema.ValidationError as ex:
-        raise SchemaError(f"{path} violates the datum schema: {ex.message}") from ex
+    error = best_match(_validator().iter_errors(doc))  # the error jsonschema.validate raises
+    if error is not None:
+        raise SchemaError(f"{path} violates the datum schema: {error.message}")
     return doc, digest
 
 
@@ -302,6 +302,17 @@ def cmd_transport(args) -> tuple[dict, int]:
         "choices": res.choices,
     }
     return _report("transport", digest, payload), 0
+
+
+def verify_finite_theta(q: int) -> dict:
+    """finitetheta, and with it numpy, is imported only when finite-verify runs."""
+    from .finitetheta import verify_finite_theta
+    return verify_finite_theta(q)
+
+
+def validate_weyl_form_rank1(q: int) -> dict:
+    from .finitetheta import validate_weyl_form_rank1
+    return validate_weyl_form_rank1(q)
 
 
 def cmd_finite_verify(args) -> tuple[dict, int]:

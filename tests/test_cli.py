@@ -1,10 +1,15 @@
 import json
+import os
 import random
 import subprocess
 import sys
+from importlib import resources
+from pathlib import Path
 
+import jsonschema
 import pytest
 
+from thetaparam import cli
 from thetaparam.cli import datum_to_json, load_document, main, parse_datum
 from thetaparam.quadform import QuadInvariants, invariants_of_orthogonal_datum
 from thetaparam.localfield import SQ_U
@@ -68,6 +73,106 @@ def test_schema_error_exits_two(tmp_path):
     code = main(["--out", str(out), "validate", str(path)])
     assert code == 2
     assert json.loads(out.read_text())["kind"] == "schema"
+
+
+SCHEMA_VIOLATIONS = {
+    "not_an_object": [1, 2],
+    "missing_base": {"polarity": "symplectic", "factors": DEPTH_ZERO["factors"]},
+    "extra_property": {**DEPTH_ZERO, "extra": 1},
+    "p_below_three": {**DEPTH_ZERO, "base": {"p": 2, "f": 1}},
+    "bad_polarity": {**DEPTH_ZERO, "polarity": "unitary"},
+    "no_factors": {**DEPTH_ZERO, "factors": []},
+    "string_residue_coeff": {
+        **DEPTH_ZERO,
+        "factors": [{**DEPTH_ZERO["factors"][0], "c": {"val": 0, "residue_coeffs": [0, "2"], "sym": "anti"}}],
+    },
+    "bad_step": {**DEPTH_ZERO, "factors": [{**DEPTH_ZERO["factors"][0], "step": "wild"}]},
+    # three errors; jsonschema reports the shallowest, the second one found
+    "several_errors": {
+        "base": {"p": 2, "f": 1},
+        "polarity": "unitary",
+        "factors": [{**DEPTH_ZERO["factors"][0], "step": "wild"}],
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCHEMA_VIOLATIONS))
+def test_schema_error_message_matches_jsonschema_validate(tmp_path, case):
+    doc = SCHEMA_VIOLATIONS[case]
+    schema_file = resources.files("thetaparam.schemas").joinpath("datum.schema.json")
+    with pytest.raises(jsonschema.ValidationError) as oracle:
+        jsonschema.validate(doc, json.loads(schema_file.read_text()))
+    path = write(tmp_path, doc)
+    out = tmp_path / "r.json"
+    assert main(["--out", str(out), "validate", path]) == 2
+    rep = json.loads(out.read_text())
+    assert rep["kind"] == "schema"
+    assert rep["error"] == f"{path} violates the datum schema: {oracle.value.message}"
+
+
+def test_schema_is_checked_once_per_process(tmp_path, monkeypatch):
+    cls = type(cli._validator())
+    check_schema, calls = cls.check_schema, []
+    monkeypatch.setattr(cls, "check_schema", lambda schema: calls.append(schema) or check_schema(schema))
+    cli._validator.cache_clear()
+    path = write(tmp_path, DEPTH_ZERO)
+    load_document(path)
+    load_document(path)
+    assert len(calls) == 1
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _python(code: str) -> str:
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_import_leaves_numpy_and_finitetheta_unloaded():
+    loaded = _python(
+        "import thetaparam.cli, sys; "
+        "print([m for m in ('numpy', 'thetaparam.finitetheta') if m in sys.modules])"
+    )
+    assert loaded.strip() == "[]"
+
+
+_TRACED_RUN = """
+import contextlib, io, json, sys
+sys.path.insert(0, {perfbench!r})
+import spans
+from thetaparam import cli
+tracer = spans.Tracer()
+if {traced}:
+    tracer.install()
+outputs = []
+for argv in ({lift!r}, ["finite-verify", "--q", "3"]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    outputs.append([code, buf.getvalue()])
+print(json.dumps({{"outputs": outputs, "spans": sorted({{s[2] for s in tracer.spans}})}}))
+"""
+
+
+def test_benchmark_tracer_wraps_the_cli_boundaries(tmp_path):
+    # perfbench/spans.py patches names in thetaparam.cli from outside; a
+    # renamed boundary must fail here, and tracing must not change a report
+    lift = ["lift", write(tmp_path, DEPTH_ZERO)]
+    runs = {
+        traced: json.loads(_python(_TRACED_RUN.format(perfbench=str(PERFBENCH), traced=traced, lift=lift)))
+        for traced in (False, True)
+    }
+    assert runs[True]["outputs"] == runs[False]["outputs"]
+    assert [code for code, _ in runs[True]["outputs"]] == [0, 0]
+    assert {"cli.load_document", "finitetheta.verify_finite_theta"} <= set(runs[True]["spans"])
 
 
 @pytest.mark.parametrize(
