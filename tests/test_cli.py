@@ -121,14 +121,13 @@ def test_schema_is_checked_once_per_process(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def _python(code: str) -> str:
+def _python(code: str, *args: str) -> str:
     proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": str(SRC)},
+        [sys.executable, "-c", code, *args],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
         text=True,
     )
@@ -146,33 +145,34 @@ def test_cli_import_leaves_numpy_and_finitetheta_unloaded():
 
 _TRACED_RUN = """
 import contextlib, io, json, sys
-sys.path.insert(0, {perfbench!r})
+perfbench, traced, path = sys.argv[1:]
+sys.path.insert(0, perfbench)
 import spans
 from thetaparam import cli
 tracer = spans.Tracer()
-if {traced}:
+if traced == "yes":
     tracer.install()
 outputs = []
-for argv in ({lift!r}, ["finite-verify", "--q", "3"]):
+for argv in (["lift", path], ["finite-verify", "--q", "3"]):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli.main(argv)
     outputs.append([code, buf.getvalue()])
-print(json.dumps({{"outputs": outputs, "spans": sorted({{s[2] for s in tracer.spans}})}}))
+print(json.dumps({"outputs": outputs, "spans": sorted({s[2] for s in tracer.spans})}))
 """
 
 
 def test_benchmark_tracer_wraps_the_cli_boundaries(tmp_path):
     # perfbench/spans.py patches names in thetaparam.cli from outside; a
     # renamed boundary must fail here, and tracing must not change a report
-    lift = ["lift", write(tmp_path, DEPTH_ZERO)]
+    path = write(tmp_path, DEPTH_ZERO)
     runs = {
-        traced: json.loads(_python(_TRACED_RUN.format(perfbench=str(PERFBENCH), traced=traced, lift=lift)))
-        for traced in (False, True)
+        traced: json.loads(_python(_TRACED_RUN, str(ROOT / "perfbench"), traced, path))
+        for traced in ("no", "yes")
     }
-    assert runs[True]["outputs"] == runs[False]["outputs"]
-    assert [code for code, _ in runs[True]["outputs"]] == [0, 0]
-    assert {"cli.load_document", "finitetheta.verify_finite_theta"} <= set(runs[True]["spans"])
+    assert runs["yes"]["outputs"] == runs["no"]["outputs"]
+    assert [code for code, _ in runs["yes"]["outputs"]] == [0, 0]
+    assert {"cli.load_document", "finitetheta.verify_finite_theta"} <= set(runs["yes"]["spans"])
 
 
 @pytest.mark.parametrize(
