@@ -320,7 +320,9 @@ def cmd_finite_verify(args) -> tuple[dict, int]:
     return _report("finite-verify", None, {"result": out}), 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="thetaparam",
         description="parameter-level theta correspondence for torus data over p-adic fields",

@@ -34,12 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .finitefield import (
-    fq_legendre,
-    fq_make,
-    fq_multiplicative_generator,
-    fq_norm1_generator,
-)
+from .finitefield import fq_make, fq_multiplicative_generator, fq_norm1_generator
 
 
 class NormalizationFailure(DomainError):
@@ -178,15 +173,26 @@ def _multiplication_matrices(g, order):
     return np.swapaxes(np.array(mats, dtype=np.int8), 1, 2)
 
 
+def _torus(q: int, torus: str):
+    """The generator and order of a cyclic torus of SL2(q): g0 of F_q^x,
+    order q - 1, for 'split'; y0 of norm one in F_{q^2}, order q + 1, for
+    'nonsplit'."""
+    if torus == "split":
+        return fq_multiplicative_generator(fq_make(q, 1)), q - 1
+    if torus == "nonsplit":
+        return fq_norm1_generator(fq_make(q, 1), 1), q + 1
+    raise DomainError("torus must be 'split' or 'nonsplit'")
+
+
 def _rotation_list(space: BinarySpace):
-    """Rotations indexed by powers of the canonical generator: for '-' the
-    multiplications by the norm-one group of F_{q^2}, for '+' the maps
-    diag(g0^j, g0^-j)."""
+    """Rotations indexed by powers of the torus generator: for '+' the maps
+    diag(g0^j, g0^-j) of the split torus, for '-' the multiplications by
+    the nonsplit torus, the norm-one group of F_{q^2}."""
     q = space.q
     if space.variant == "-":
-        return _multiplication_matrices(fq_norm1_generator(fq_make(q, 1), 1), q + 1)
-    g0 = fq_multiplicative_generator(fq_make(q, 1)).coeffs[0]
-    return np.array([np.diag([pow(g0, j, q), pow(g0, -j, q)]) for j in range(q - 1)])
+        return _multiplication_matrices(*_torus(q, "nonsplit"))
+    g0, n = _torus(q, "split")
+    return np.array([np.diag([(g0 ** j).coeffs[0], (g0 ** -j).coeffs[0]]) for j in range(n)])
 
 
 @lru_cache(maxsize=None)
@@ -337,96 +343,39 @@ class ClassFunction:
 
 
 @lru_cache(maxsize=None)
-def _sl2_class_keys(q: int):
-    """Class label of every SL2(q) element, in group order.
-
-    Labels: identity, minus, (unipot, sign, eps) for +-(unipotent) with the
-    square class of the symplectic invariant <Nv, v> of N = +-g - 1,
-    (split, {x, 1/x}), (ell, trace)."""
-    out = []
-    for a, b, c, d in dual_pair(q, "-").sl2.elements.reshape(-1, 4).tolist():
-        tr = (a + d) % q
-        if (a, b, c, d) == (1, 0, 0, 1):
-            out.append(("id",))
-        elif (a, b, c, d) == (q - 1, 0, 0, q - 1):
-            out.append(("minus",))
-        elif tr == 2 or tr == q - 2:
-            sign = 1 if tr == 2 else -1
-            # N is nonzero and nilpotent: <N e1, e1> = -sign c, or <N e2, e2> = sign b when c = 0
-            out.append(("unipot", sign, fq_legendre(-sign * c if c else sign * b, q)))
-        elif fq_legendre(tr * tr - 4, q) == 1:  # tr != +-2 here, so the argument is a unit
-            roots = [x for x in range(1, q) if (x * x - tr * x + 1) % q == 0]
-            out.append(("split", frozenset(roots)))
-        else:
-            out.append(("ell", tr))
-    return out
-
-
-def _nonsplit_trace_index(q: int):
-    """For each elliptic trace t, the exponent j with y0^j + y0^{-j} = t,
-    y0 the canonical norm-one generator of F_{q^2}."""
-    base = fq_make(q, 1)
-    y0 = fq_norm1_generator(base, 1)
-    field = y0.field
-    out = {}
-    cur = field.one()
-    for j in range(q + 1):
-        tr = cur + cur.frobenius()
-        assert all(c == 0 for c in tr.coeffs[1:])
-        out.setdefault(tr.coeffs[0], j)
-        cur = cur * y0
-    return out
+def _cyclic_sums(k: int, n: int) -> np.ndarray:
+    """zeta^(kj) + zeta^(-kj) for j = 0 .. n - 1, zeta = exp(2 pi i / n)."""
+    zeta = cmath.exp(2j * cmath.pi / n)
+    sums = np.array([zeta ** (k * j) + zeta ** (-k * j) for j in range(n)])
+    sums.flags.writeable = False
+    return sums
 
 
 def dl_regular_character(q: int, torus: str, exponent: int) -> ClassFunction:
     """Deligne-Lusztig character of SL2(q) for a torus character in general
     position: discrete series of degree q - 1 for the nonsplit torus,
-    principal series of degree q + 1 for the split torus."""
-    if torus == "nonsplit":
-        n = q + 1
-        if (2 * exponent) % n == 0:
-            raise NotGeneralPositionFinite(f"exponent {exponent} mod {n} is not regular")
-        zeta = cmath.exp(2j * cmath.pi / n)
-        sign_z = (-1) ** (exponent % 2) if n % 2 == 0 else zeta ** (exponent * (n // 2))
-        tr_index = _nonsplit_trace_index(q)
-        label = f"ds[{exponent}]"
+    principal series of degree q + 1 for the split torus.
 
-        def value(key):
-            if key == ("id",):
-                return complex(q - 1)
-            if key == ("minus",):
-                return sign_z * (q - 1)
-            if key[0] == "unipot":
-                return complex(-1) if key[1] == 1 else -sign_z
-            if key[0] == "split":
-                return 0j
-            j = tr_index[key[1]]
-            return -(zeta ** (exponent * j) + zeta ** (-exponent * j))
-    elif torus == "split":
-        n = q - 1
-        if (2 * exponent) % n == 0:
-            raise NotGeneralPositionFinite(f"exponent {exponent} mod {n} is not regular")
-        zeta = cmath.exp(2j * cmath.pi / n)
-        g0 = fq_multiplicative_generator(fq_make(q, 1)).coeffs[0]
-        dlog = {pow(g0, j, q): j for j in range(n)}
-        sign_z = zeta ** (exponent * (n // 2))
-        label = f"ps[{exponent}]"
-
-        def value(key):
-            if key == ("id",):
-                return complex(q + 1)
-            if key == ("minus",):
-                return sign_z * (q + 1)
-            if key[0] == "unipot":
-                return complex(1) if key[1] == 1 else sign_z
-            if key[0] == "split":
-                j = dlog[min(key[1])]
-                return zeta ** (exponent * j) + zeta ** (-exponent * j)
-            return 0j
-    else:
-        raise DomainError("torus must be 'split' or 'nonsplit'")
-    values = np.array([value(key) for key in _sl2_class_keys(q)])
-    return ClassFunction(dual_pair(q, "-").sl2, values, label)
+    With sign = +1 (split) or -1 (nonsplit) and chi(-1) = (-1)^k, the value
+    is deg chi(z) on z = +-I, sign chi(z) on z times a unipotent,
+    sign (zeta^(kj) + zeta^(-kj)) on the regular trace t^j + t^-j of this
+    torus, and 0 on the other torus."""
+    t, n = _torus(q, torus)
+    if (2 * exponent) % n == 0:
+        raise NotGeneralPositionFinite(f"exponent {exponent} mod {n} is not regular")
+    sign = 1 if torus == "split" else -1
+    sums = _cyclic_sums(exponent, n)
+    # regular[tr] = sign (zeta^(kj) + zeta^(-kj)) for tr = t^j + t^-j, 0 < j < n/2
+    regular = np.zeros(q, dtype=complex)
+    for j in range(1, n // 2):
+        regular[(t ** j + t ** -j).coeffs[0]] = sign * sums[j]
+    sl2 = dual_pair(q, "-").sl2
+    a, b, c, d = sl2.elements.reshape(-1, 4).T.astype(np.int64)
+    tr = (a + d) % q
+    chi_z = np.where(tr == 2, 1, (-1) ** (exponent % 2))  # chi(z) for z = +-I, on +-unipotents
+    values = np.where((tr == 2) | (tr == q - 2),
+                      chi_z * np.where((b == 0) & (c == 0), q + sign, sign), regular[tr])
+    return ClassFunction(sl2, values, f"{'ps' if sign == 1 else 'ds'}[{exponent}]")
 
 
 class NotGeneralPositionFinite(DomainError):
@@ -453,11 +402,9 @@ def o2_induced_character(pair: FiniteDualPair, exponent: int) -> ClassFunction:
     n = pair.rotation_order
     if (2 * exponent) % n == 0:
         raise NotGeneralPositionFinite(f"exponent {exponent} mod {n} does not induce irreducibly")
-    zeta = cmath.exp(2j * cmath.pi / n)
     j, refl = _o2_decompose(pair)
-    values = [0j if r else zeta ** (exponent * k) + zeta ** (-exponent * k)
-              for k, r in zip(j.tolist(), refl.tolist())]
-    return ClassFunction(pair.o2, np.array(values), f"ind[{exponent}]")
+    values = np.where(refl, 0, _cyclic_sums(exponent, n)[j])
+    return ClassFunction(pair.o2, values, f"ind[{exponent}]")
 
 
 def o2_one_dimensionals(pair: FiniteDualPair):

@@ -396,15 +396,28 @@ def datum_equivalent(a: TorusDatum, b: TorusDatum, mode: str = "weyl") -> bool:
 
 
 def _has_perfect_matching(feasible, n) -> bool:
-    matched_b = [None] * n
-
-    def try_assign(i, seen):
-        for j in range(n):
-            if feasible[i][j] and j not in seen:
-                seen.add(j)
-                if matched_b[j] is None or try_assign(matched_b[j], seen):
-                    matched_b[j] = i
-                    return True
-        return False
-
-    return all(try_assign(i, set()) for i in range(n))
+    """Kuhn's augmenting paths on an explicit stack, so that a path may be n
+    rows long; a row takes a free feasible column when it has one."""
+    cols = [[j for j in range(n) if row[j]] for row in feasible]
+    row_of, col_of = [None] * n, [None] * n  # the row matched to each column, and vice versa
+    for i in range(n):
+        end = next((j for j in cols[i] if row_of[j] is None), None)
+        reached_from = {} if end is None else {end: i}  # column -> the row whose search reached it
+        stack = [(i, iter(cols[i]))]
+        while end is None and stack:
+            row, rest = stack[-1]
+            j = next((j for j in rest if j not in reached_from), None)
+            if j is None:
+                stack.pop()
+                continue
+            reached_from[j] = row
+            if row_of[j] is None:
+                end = j
+            else:
+                stack.append((row_of[j], iter(cols[row_of[j]])))
+        if end is None:
+            return False
+        while end is not None:  # flip the path back to row i; end moves to row's old column last
+            row = reached_from[end]
+            row_of[end], col_of[row], end = row, end, col_of[row]
+    return True

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -119,6 +120,17 @@ def test_schema_is_checked_once_per_process(tmp_path, monkeypatch):
     load_document(path)
     load_document(path)
     assert len(calls) == 1
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
+    path = write(tmp_path, DEPTH_ZERO)
+    assert main(["--out", str(tmp_path / "first.json"), "validate", path]) == 0
+    init, calls = argparse.ArgumentParser.__init__, []
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: calls.append(a) or init(self, *a, **k))
+    assert main(["--out", str(tmp_path / "second.json"), "validate", path]) == 0
+    assert calls == []
+    assert (tmp_path / "first.json").read_text() == (tmp_path / "second.json").read_text()
 
 
 ROOT = Path(__file__).resolve().parents[1]

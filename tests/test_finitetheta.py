@@ -9,7 +9,6 @@ from thetaparam.finitetheta import (
     VerificationFailure,
     _mulclose,
     _o2_decompose,
-    _sl2_class_keys,
     _sp4_transvections,
     _torus_matrices_in_sp4,
     build_weil_rep,
@@ -101,10 +100,7 @@ def test_sl2_classes_match_conjugation_by_adjugate(q):
     adj = np.swapaxes(e[:, ::-1, ::-1], 1, 2) * [[1, -1], [-1, 1]]  # [[d, -b], [-c, a]]
     conj = (e[:, None] @ e[None] @ adj[:, None] % q).reshape(len(e), len(e), 4)  # [x, g]
     orbits = {tuple(sorted(set(map(tuple, conj[:, g].tolist())))) for g in range(len(e))}
-    key_of = dict(zip(map(tuple, e.reshape(-1, 4).tolist()), _sl2_class_keys(q)))
     assert len(orbits) == q + 4
-    assert sorted(len({key_of[m] for m in orbit}) for orbit in orbits) == [1] * (q + 4)
-    assert len({key_of[orbit[0]] for orbit in orbits}) == q + 4
     classes = {tuple(map(tuple, e[cl].reshape(-1, 4).tolist())) for cl in conjugacy_classes(sl2)}
     assert classes == orbits
 
@@ -264,6 +260,26 @@ def test_dl_characters_match_numerical_table(q):
         chi = dl_regular_character(q, "nonsplit", k)
         hits = [nc for nc in numerical if abs(chi.inner(nc) - 1) < 1e-6]
         assert len(hits) == 1
+
+
+def test_split_torus_characters_match_numerical_table_by_values():
+    numerical = numerical_character_table(dual_pair(5, "-").sl2)
+    for k in (1, 3):
+        chi = dl_regular_character(5, "split", k)
+        hits = [nc for nc in numerical if np.max(np.abs(chi.values - nc.values)) < 1e-9]
+        assert len(hits) == 1, k
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_characters_are_class_functions(q):
+    chars = [dl_regular_character(q, "nonsplit", k) for k in sl2_regular_exponents(q)]
+    chars += [dl_regular_character(q, "split", a) for a in range(1, q - 1) if (2 * a) % (q - 1)]
+    for variant in ("+", "-"):
+        pair = dual_pair(q, variant)
+        chars += [o2_induced_character(pair, k) for k in range(1, pair.rotation_order // 2)]
+    for chi in chars:
+        for cl in conjugacy_classes(chi.group):
+            assert np.max(np.abs(chi.values[cl] - chi.values[cl[0]])) < 1e-12, chi.label
 
 
 @pytest.mark.parametrize("q", [3, 5])

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from thetaparam.torusdata import (
     PolarityMismatch,
     NotDepthZero,
     TorusDatum,
+    _has_perfect_matching,
     block_decompose,
     datum_equivalent,
     is_general_position,
@@ -118,6 +120,27 @@ def test_equivalence_polarity_mismatch():
     ortho = TorusDatum(BASE5, d.factors, "orthogonal")
     with pytest.raises(PolarityMismatch):
         datum_equivalent(d, ortho)
+
+
+def test_perfect_matching_follows_an_augmenting_path_through_every_row():
+    # rows i < n - 1 take columns i and i + 1, the last row only column 0:
+    # matching the last row shifts every other row by one column
+    n = 1500
+    feasible = [[j in (i, i + 1) for j in range(n)] for i in range(n - 1)]
+    feasible.append([j == 0 for j in range(n)])
+    assert _has_perfect_matching(feasible, n)
+    feasible[-1][0] = False
+    assert not _has_perfect_matching(feasible, n)
+
+
+def test_perfect_matching_matches_permutation_oracle():
+    rng = random.Random(7)
+    for _ in range(500):
+        n = rng.randint(0, 6)
+        density = rng.random()
+        feasible = [[rng.random() < density for _ in range(n)] for _ in range(n)]
+        expected = any(all(feasible[i][p[i]] for i in range(n)) for p in itertools.permutations(range(n)))
+        assert _has_perfect_matching(feasible, n) == expected
 
 
 def test_equivalence_is_equivalence_relation_on_random_data():
