@@ -18,9 +18,6 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
-
 from . import __version__
 from .errors import DomainError
 from .localfield import (
@@ -61,7 +58,8 @@ class SchemaError(Exception):
 @lru_cache(maxsize=None)
 def _validator():
     """The datum schema's validator, checked against its metaschema once
-    per process."""
+    per process.  jsonschema is imported here, with the first document."""
+    from jsonschema.validators import validator_for
     with resources.files("thetaparam.schemas").joinpath("datum.schema.json").open() as fh:
         schema = json.load(fh)
     cls = validator_for(schema)
@@ -80,6 +78,7 @@ def load_document(path: str) -> tuple[dict, str]:
         doc = json.loads(raw)
     except (ValueError, RecursionError) as ex:  # also undecodable bytes and too deep nesting
         raise SchemaError(f"{path} is not valid JSON: {ex}") from ex
+    from jsonschema.exceptions import best_match
     error = best_match(_validator().iter_errors(doc))  # the error jsonschema.validate raises
     if error is not None:
         raise SchemaError(f"{path} violates the datum schema: {error.message}")

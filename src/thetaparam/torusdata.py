@@ -389,9 +389,11 @@ def datum_equivalent(a: TorusDatum, b: TorusDatum, mode: str = "weyl") -> bool:
         return False
     q = a.base.q_base
     n = len(a.factors)
-    feasible = [
-        [_factor_pair_equivalent(fa, fb, q, mode) for fb in b.factors] for fa in a.factors
-    ]
+    distinct_a, distinct_b = {}, {}  # factor -> its index among the distinct factors of its side
+    rows = [distinct_a.setdefault(f, len(distinct_a)) for f in a.factors]
+    cols = [distinct_b.setdefault(f, len(distinct_b)) for f in b.factors]
+    verdicts = [[_factor_pair_equivalent(fa, fb, q, mode) for fb in distinct_b] for fa in distinct_a]
+    feasible = [[verdicts[i][j] for j in cols] for i in rows]
     return _has_perfect_matching(feasible, n)
 
 

@@ -147,12 +147,38 @@ def _python(code: str, *args: str) -> str:
     return proc.stdout
 
 
-def test_cli_import_leaves_numpy_and_finitetheta_unloaded():
+def test_cli_import_leaves_numpy_finitetheta_and_jsonschema_unloaded():
     loaded = _python(
         "import thetaparam.cli, sys; "
-        "print([m for m in ('numpy', 'thetaparam.finitetheta') if m in sys.modules])"
+        "print([m for m in ('numpy', 'thetaparam.finitetheta', 'jsonschema') if m in sys.modules])"
     )
     assert loaded.strip() == "[]"
+
+
+_COLD_RUN = """
+import contextlib, io, json, sys
+from importlib import resources
+from thetaparam import cli
+path, out = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    verify_code = cli.main(["finite-verify", "--q", "3"])
+after_verify = "jsonschema" in sys.modules
+validate_code = cli.main(["--out", out, "validate", path])
+import jsonschema
+schema = json.loads(resources.files("thetaparam.schemas").joinpath("datum.schema.json").read_text())
+try:
+    jsonschema.validate(json.load(open(path)), schema)
+except jsonschema.ValidationError as ex:
+    oracle = ex.message
+print(json.dumps([verify_code, after_verify, validate_code, oracle]))
+"""
+
+
+def test_finite_verify_leaves_jsonschema_unloaded_and_validate_loads_it(tmp_path):
+    path, out = write(tmp_path, SCHEMA_VIOLATIONS["several_errors"]), tmp_path / "r.json"
+    verify_code, after_verify, validate_code, oracle = json.loads(_python(_COLD_RUN, path, str(out)))
+    assert (verify_code, after_verify, validate_code) == (0, False, 2)
+    assert json.loads(out.read_text())["error"] == f"{path} violates the datum schema: {oracle}"
 
 
 _TRACED_RUN = """

@@ -16,6 +16,7 @@ from thetaparam.localfield import (
     lt_mul,
     relative_conjugate,
 )
+from thetaparam import torusdata
 from thetaparam.torusdata import (
     Factor,
     FiniteTorusDatum,
@@ -141,6 +142,54 @@ def test_perfect_matching_matches_permutation_oracle():
         feasible = [[rng.random() < density for _ in range(n)] for _ in range(n)]
         expected = any(all(feasible[i][p[i]] for i in range(n)) for p in itertools.permutations(range(n)))
         assert _has_perfect_matching(feasible, n) == expected
+
+
+def test_equivalence_compares_each_pair_of_distinct_factors_once(monkeypatch):
+    calls = []
+    pair_equivalent = torusdata._factor_pair_equivalent
+
+    def counted(fa, fb, q, mode):
+        calls.append((fa, fb))
+        return pair_equivalent(fa, fb, q, mode)
+
+    monkeypatch.setattr(torusdata, "_factor_pair_equivalent", counted)
+    d = simple_datum()
+    many = d.replace_factors(d.factors * 300)
+    assert datum_equivalent(many, many)
+    assert calls == [(d.factors[0], d.factors[0])]
+    calls.clear()
+    other = simple_datum(chi0=2).factors[0]
+    mixed = d.replace_factors((other,) + d.factors * 299)
+    assert not datum_equivalent(many, mixed, mode="strict")
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("mode", ["weyl", "strict"])
+def test_equivalence_matches_full_matrix_definition_with_repeated_factors(mode):
+    """Draw both sides from a small pool (so factors repeat, and some pairs
+    are equal only up to a norm) and compare with a bijection search over
+    every pair of factors."""
+    rng = random.Random(41)
+    pool = []
+    while len(pool) < 8:
+        f = rng.choice(gen.random_mixed_datum(5, rng, 2).factors)
+        if f.m == 1:
+            y = LeadingTerm(f.c.field, rng.randint(0, 1), gen.random_nonzero(f.c.field.residue_field(), rng))
+            nm = lt_mul(y, relative_conjugate(y)).with_sym(SYM_FIXED)
+            pool += [f, Factor(f.m, f.step, lt_mul(f.c, nm), f.chi0, f.gamma_levels)]
+    verdicts = set()
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        fa = [rng.choice(pool) for _ in range(n)]
+        fb = [rng.choice(pool) if rng.random() < 0.3 else f for f in rng.sample(fa, n)]
+        a, b = (TorusDatum(BASE5, tuple(fs), POLARITY_SYMPLECTIC) for fs in (fa, fb))
+        expected = any(
+            all(torusdata._factor_pair_equivalent(fa[i], fb[p[i]], 5, mode) for i in range(n))
+            for p in itertools.permutations(range(n))
+        )
+        assert datum_equivalent(a, b, mode) == expected
+        verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def test_equivalence_is_equivalence_relation_on_random_data():
