@@ -98,6 +98,13 @@ def test_validate_general_position_enforced():
 # -- equivalence
 
 
+def norm_rescaled(f, rng):
+    """f with c scaled by the norm of a random leading term: an equivalent factor."""
+    y = LeadingTerm(f.c.field, rng.randint(0, 1), gen.random_nonzero(f.c.field.residue_field(), rng))
+    nm = lt_mul(y, relative_conjugate(y)).with_sym(SYM_FIXED)
+    return Factor(f.m, f.step, lt_mul(f.c, nm), f.chi0, f.gamma_levels)
+
+
 def test_equivalence_reflexive_and_norm_scaling():
     rng = random.Random(0)
     d = simple_datum()
@@ -174,9 +181,7 @@ def test_equivalence_matches_full_matrix_definition_with_repeated_factors(mode):
     while len(pool) < 8:
         f = rng.choice(gen.random_mixed_datum(5, rng, 2).factors)
         if f.m == 1:
-            y = LeadingTerm(f.c.field, rng.randint(0, 1), gen.random_nonzero(f.c.field.residue_field(), rng))
-            nm = lt_mul(y, relative_conjugate(y)).with_sym(SYM_FIXED)
-            pool += [f, Factor(f.m, f.step, lt_mul(f.c, nm), f.chi0, f.gamma_levels)]
+            pool += [f, norm_rescaled(f, rng)]
     verdicts = set()
     for _ in range(150):
         n = rng.randint(1, 5)
@@ -208,11 +213,8 @@ def test_equivalence_is_equivalence_relation_on_random_data():
         for _ in range(2):
             prev = chain[-1]
             i = rng.randrange(len(prev.factors))
-            f = prev.factors[i]
-            y = LeadingTerm(f.c.field, rng.randint(0, 1), gen.random_nonzero(f.c.field.residue_field(), rng))
-            nm = lt_mul(y, relative_conjugate(y)).with_sym(SYM_FIXED)
             factors = list(prev.factors)
-            factors[i] = Factor(f.m, f.step, lt_mul(f.c, nm), f.chi0, f.gamma_levels)
+            factors[i] = norm_rescaled(prev.factors[i], rng)
             chain.append(prev.replace_factors(factors))
         assert datum_equivalent(chain[0], chain[1])
         assert datum_equivalent(chain[1], chain[2])
