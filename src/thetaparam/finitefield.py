@@ -14,7 +14,7 @@ generators of norm-one subgroups of quadratic extensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import DomainError
 
@@ -66,18 +66,25 @@ def _poly_trim(c):
     return tuple(c[:i])
 
 
-def _poly_mod(a, m, p):
-    # m monic
+def _poly_divmod(a, b, p):
+    """(quotient, remainder) of a by a nonzero trimmed b over F_p."""
     a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and len(a) > 0:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - dm
-            for i in range(dm):
-                a[shift + i] = (a[shift + i] - lead * m[i]) % p
-        a.pop()
-    return _poly_trim(a)
+    db, inv = len(b) - 1, pow(b[-1], -1, p)
+    quo = [0] * max(0, len(a) - db)
+    for shift in range(len(a) - 1 - db, -1, -1):
+        c = quo[shift] = a[shift + db] * inv % p
+        if c:
+            for i in range(db + 1):
+                a[shift + i] = (a[shift + i] - c * b[i]) % p
+    return _poly_trim(quo), _poly_trim(a[:db])
+
+
+def _poly_mul(a, b, p):
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b, i):
+            out[j] = (out[j] + ai * bj) % p
+    return tuple(out)
 
 
 def _mulmod(a, b, modulus, n):
@@ -122,10 +129,7 @@ def _poly_sub(a, b, p):
 def _poly_gcd(a, b, p):
     a, b = _poly_trim(a), _poly_trim(b)
     while b:
-        # make b monic before reducing
-        inv = pow(b[-1], p - 2, p)
-        bm = tuple((c * inv) % p for c in b)
-        a, b = b, _poly_mod(a, bm, p)
+        a, b = b, _poly_divmod(a, b, p)[1]
     return a
 
 
@@ -266,9 +270,18 @@ class FqElement:
         return FqElement(k, _powmod(self.coeffs, e, k.modulus, k.p))
 
     def inverse(self):
+        """Extended Euclid in F_p[x]: s * self = r mod the modulus until r
+        is a nonzero constant, then s / r."""
         if self.is_zero():
             raise ZeroInput("inverse of zero")
-        return self ** (self.field.order - 2)
+        k = self.field
+        p = k.p
+        r0, r1, s0, s1 = k.modulus, _poly_trim(self.coeffs), (), (1,)
+        while len(r1) > 1:
+            quo, r2 = _poly_divmod(r0, r1, p)
+            r0, r1, s0, s1 = r1, r2, s1, _poly_sub(s0, _poly_mul(quo, s1, p), p)
+        inv = pow(r1[0], -1, p)
+        return k.element([c * inv for c in s1])
 
     def frobenius(self, j: int = 1):
         """x -> x^{p^j}."""
@@ -293,11 +306,19 @@ class FqElement:
 
 
 def fq_is_square(x: FqElement) -> bool:
-    """True iff x is a nonzero square; x^{(q-1)/2} = 1 test (q odd)."""
+    """True iff x is a nonzero square: x^{(q-1)/2} = Nm(x)^{(p-1)/2} for the
+    norm to F_p, computed as the resultant Res(modulus, x) by Euclid."""
     if x.is_zero():
         raise ZeroInput("square test of zero")
-    q = x.field.order
-    return x ** ((q - 1) // 2) == x.field.one()
+    p = x.field.p
+    a, b, norm = x.field.modulus, _poly_trim(x.coeffs), 1
+    while len(b) > 1:
+        # Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r), r = a mod b
+        r = _poly_divmod(a, b, p)[1]
+        norm = norm * (-1) ** ((len(a) - 1) * (len(b) - 1)) * pow(b[-1], len(a) - len(r), p) % p
+        a, b = b, r
+    norm *= pow(b[0], len(a) - 1, p)  # Res(a, c) = c^deg(a)
+    return pow(norm, (p - 1) // 2, p) == 1
 
 
 def fq_legendre(a: int, p: int) -> int:
@@ -407,27 +428,33 @@ class FqEmbedding:
             raise DomainError("element not in the source field")
         return _evaluate(x.coeffs, self.image_of_generator)
 
+    @cached_property
+    def _solver(self):
+        """The row reduction that solves sum_j sol[j] * x^j = y, built once:
+        the images of the source power basis are the columns, and the
+        identity block records the row operations to apply to y."""
+        a, b = self.source.f, self.target.f
+        cols = []
+        power = self.target.one()
+        for _ in range(a):
+            cols.append(power.coeffs)
+            power = power * self.image_of_generator
+        rows = [[col[i] for col in cols] + [int(i == k) for k in range(b)] for i in range(b)]
+        aug, pivots = _row_reduce_mod_p(rows, self.source.p, a)
+        return [row[a:] for row in aug], pivots
+
     def pullback(self, y: FqElement) -> FqElement:
         """Inverse on the image; raises if y is not in the embedded subfield."""
         if y.field != self.target:
             raise DomainError("element not in the target field")
+        ops, pivots = self._solver
         p = self.source.p
-        a, b = self.source.f, self.target.f
-        # columns: images of the source power basis, as F_p-vectors of length b
-        cols = []
-        power = self.target.one()
-        for _ in range(a):
-            cols.append(list(power.coeffs))
-            power = power * self.image_of_generator
-        # solve sum_j sol[j] * cols[j] = y over F_p
-        aug, pivots = _row_reduce_mod_p(
-            [[col[i] for col in cols] + [y.coeffs[i]] for i in range(b)], p, a
-        )
-        if any(row[a] for row in aug[len(pivots):]):
+        z = [sum([o * c for o, c in zip(row, y.coeffs)]) % p for row in ops]
+        if any(z[len(pivots):]):
             raise DomainError("element is not in the embedded subfield")
-        sol = [0] * a
+        sol = [0] * self.source.f
         for col, r in pivots.items():
-            sol[col] = aug[r][a]
+            sol[col] = z[r]
         return self.source.element(sol)
 
 

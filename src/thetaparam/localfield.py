@@ -340,24 +340,25 @@ class TruncatedRing:
         self.k = fq_make(p, d)
         self.modulus = tuple(int(c) for c in self.k.modulus)
         self._auto_cache: dict[int, list[tuple[int, ...]]] = {}
+        self._matrix_cache: dict[tuple[int, ...], list[list[int]]] = {}
 
     # -- raw polynomial arithmetic on length-d integer tuples mod p^N
 
     def uadd(self, a, b):
         pN = self.pN
-        return tuple((x + y) % pN for x, y in zip(a, b))
+        return tuple([(x + y) % pN for x, y in zip(a, b)])
 
     def usub(self, a, b):
         pN = self.pN
-        return tuple((x - y) % pN for x, y in zip(a, b))
+        return tuple([(x - y) % pN for x, y in zip(a, b)])
 
     def uneg(self, a):
         pN = self.pN
-        return tuple((-x) % pN for x in a)
+        return tuple([(-x) % pN for x in a])
 
     def uscale(self, a, c):
         pN = self.pN
-        return tuple((x * c) % pN for x in a)
+        return tuple([(x * c) % pN for x in a])
 
     def umul(self, a, b):
         return _mulmod(a, b, self.modulus, self.pN)
@@ -369,11 +370,13 @@ class TruncatedRing:
         return (0,) * self.d
 
     def uinv(self, a):
-        """Inverse of a unit (Hensel lift of the residue inverse)."""
-        res = self.k.element(a)
-        if res.is_zero():
+        """Inverse of a unit: pow mod p^N for a constant (every unit when
+        d = 1), else the Hensel lift of the residue inverse."""
+        if all(c % self.p == 0 for c in a):
             raise PrecisionExhausted("inverting a non-unit in the truncated ring")
-        y = tuple(int(c) for c in res.inverse().coeffs)
+        if not any(a[1:]):
+            return (pow(a[0], -1, self.pN),) + a[1:]
+        y = tuple(int(c) for c in self.k.element(a).inverse().coeffs)
         prec = 1
         while prec < self.prec:
             # y <- y(2 - a y), doubling correct digits
@@ -382,9 +385,6 @@ class TruncatedRing:
             y = self.umul(y, two_minus)
             prec *= 2
         return y
-
-    def upow(self, a, e):
-        return _powmod(a, e, self.modulus, self.pN)
 
     def _eval_int_poly(self, coeffs, at):
         acc = self.uzero()
@@ -396,40 +396,46 @@ class TruncatedRing:
     def automorphism_images(self, j: int) -> list[tuple[int, ...]]:
         """Images of the power basis under the Frobenius lift x -> x^{p^j}.
 
-        The root of the modulus congruent to x^{p^j} mod p is Hensel-lifted
-        by Newton iteration; entry k is the expansion of root^k.
+        Entry k is the expansion of root^k, for the unique root of the
+        modulus congruent to x^{p^j} mod p: x itself for j = 0, Hensel-lifted
+        from x^p by Newton iteration for j = 1, and the image of the root
+        for j - 1 under the lift for j = 1 otherwise.
         """
         j %= self.d
         if j in self._auto_cache:
             return self._auto_cache[j]
-        if j == 0:
-            images = [self.uzero() for _ in range(self.d)]
-            for k in range(self.d):
-                img = [0] * self.d
-                img[k] = 1
-                images[k] = tuple(img)
-        else:
-            gen = tuple([0, 1] + [0] * (self.d - 2)) if self.d > 1 else (0,)
-            r = self.upow(gen, self.p**j)
+        r = tuple([0, 1] + [0] * (self.d - 2)) if self.d > 1 else (0,)
+        if j == 1:
+            r = _powmod(r, self.p, self.modulus, self.pN)
             fprime = [(i * self.modulus[i]) % self.pN for i in range(1, self.d + 1)]
-            for _ in range(self.prec.bit_length() + 2):
+            digits = 1
+            while digits < self.prec:  # each step doubles the correct digits
                 fr = self._eval_int_poly(self.modulus, r)
                 fpr = self._eval_int_poly(fprime, r)
                 r = self.usub(r, self.umul(fr, self.uinv(fpr)))
-            assert not any(self._eval_int_poly(self.modulus, r))
-            images = [self.uone()]
-            for _ in range(self.d - 1):
-                images.append(self.umul(images[-1], r))
+                digits *= 2
+        elif j > 1:
+            r = self.automorphism_sum(self.automorphism_images(j - 1)[1], (1,))
+        assert not any(self._eval_int_poly(self.modulus, r))
+        images = [self.uone()]
+        for _ in range(self.d - 1):
+            images.append(self.umul(images[-1], r))
         self._auto_cache[j] = images
         return images
 
-    def apply_automorphism(self, a, j: int):
-        images = self.automorphism_images(j)
-        out = self.uzero()
-        for k, c in enumerate(a):
-            if c:
-                out = self.uadd(out, self.uscale(images[k], c))
-        return out
+    def automorphism_sum(self, a, js: tuple[int, ...]):
+        """The sum over j in js (each in range(d)) of the images of a under
+        x -> x^{p^j}: one pass over the rows of the summed image matrices,
+        which are cached per js."""
+        rows = self._matrix_cache.get(js)
+        if rows is None:
+            images = [self.automorphism_images(j) for j in js]
+            rows = self._matrix_cache[js] = [
+                [sum(img[k][m] for img in images) % self.pN for k in range(self.d)]
+                for m in range(self.d)
+            ]
+        pN = self.pN
+        return tuple([sum([x * y for x, y in zip(row, a)]) % pN for row in rows])
 
 
 @lru_cache(maxsize=None)
@@ -483,26 +489,25 @@ class TruncatedElement:
         return va, vb
 
     def val_or_none(self):
-        """L-normalized valuation, or None when zero to working precision."""
+        """L-normalized valuation, or None when zero to working precision.
+
+        Computed once and kept in the instance dict, outside the fields
+        that == and hash read."""
+        if "_val" in self.__dict__:
+            return self.__dict__["_val"]
         va, vb = self._parts_valp()
-        cap = self.ring.prec
-        if self.field.e == 1:
-            return None if va >= cap else va - self.shift
-        cands = []
-        if va < cap:
-            cands.append(2 * (va - self.shift))
-        if vb < cap:
+        cap, e = self.ring.prec, self.field.e
+        cands = [e * (va - self.shift)] if va < cap else []
+        if vb < cap:  # only for a t-part, so e = 2
             cands.append(2 * (vb - self.shift) + 1)
-        return min(cands) if cands else None
+        v = self.__dict__["_val"] = min(cands, default=None)
+        return v
 
     def val(self) -> int:
         v = self.val_or_none()
         if v is None:
             raise PrecisionExhausted("valuation exceeds working precision")
         return v
-
-    def is_certified_nonzero(self) -> bool:
-        return self.val_or_none() is not None
 
     def leading_term(self, sym=SYM_NONE, sigma_sym=SYM_NONE) -> LeadingTerm:
         v = self.val()
@@ -521,7 +526,7 @@ class TruncatedElement:
         out = []
         x = self
         guard = self.precision + 2
-        while x.is_certified_nonzero() and guard > 0:
+        while x.val_or_none() is not None and guard > 0:
             lt = x.leading_term()
             out.append((lt.val, lt.residue))
             x = tr_sub(x, tr_lift(lt, self.ring.prec))
@@ -557,7 +562,7 @@ def _normalized(x: TruncatedElement) -> TruncatedElement:
         a = tuple(c // p for c in a)
         b = tuple(c // p for c in b) if b is not None else None
         s -= 1
-    return TruncatedElement(x.field, x.ring, a, b, s)
+    return x if s == x.shift else TruncatedElement(x.field, x.ring, a, b, s)
 
 
 def tr_from_int(field: TameFieldDescriptor, n: int, prec: int) -> TruncatedElement:
@@ -669,7 +674,7 @@ def tr_conj(x: TruncatedElement) -> TruncatedElement:
     if x.field.step == STEP_RAMIFIED:
         return TruncatedElement(x.field, x.ring, x.a, x.ring.uneg(x.b), x.shift)
     j = x.ring.d // 2
-    return TruncatedElement(x.field, x.ring, x.ring.apply_automorphism(x.a, j), None, x.shift)
+    return TruncatedElement(x.field, x.ring, x.ring.automorphism_sum(x.a, (j,)), None, x.shift)
 
 
 def tr_trace_step(x: TruncatedElement) -> TruncatedElement:
@@ -683,10 +688,7 @@ def tr_norm_step(x: TruncatedElement) -> TruncatedElement:
 def tr_trace_to_base(x: TruncatedElement) -> TruncatedElement:
     """Tr_{L/F}: sum over the Galois automorphisms fixing the base field F."""
     ring = x.ring
-    f0 = x.field.base_f
-    acc_a = ring.uzero()
-    for j in range(0, ring.d, f0):
-        acc_a = ring.uadd(acc_a, ring.apply_automorphism(x.a, j))
+    acc_a = ring.automorphism_sum(x.a, tuple(range(0, ring.d, x.field.base_f)))
     if x.b is not None:
         acc_a = ring.uscale(acc_a, 2)  # t-parts of the two t-conjugates cancel
         return TruncatedElement(x.field, ring, acc_a, ring.uzero(), x.shift)

@@ -250,17 +250,18 @@ def _gram_matrix(factor, prec: int):
     gram = [[None] * n for _ in range(n)]
     conj_basis = [tr_conj(e) for e in basis]
     for i in range(n):
+        c_i = tr_mul(c, basis[i])
         for j in range(i, n):
-            entry = tr_trace_to_base(tr_mul(tr_mul(c, basis[i]), conj_basis[j]))
-            gram[i][j] = entry
-            gram[j][i] = entry
+            gram[i][j] = gram[j][i] = tr_trace_to_base(tr_mul(c_i, conj_basis[j]))
     return gram
 
 
 def _diagonalize_symmetric(gram):
     """Symmetric congruence diagonalization pivoting on minimal valuation.
 
-    Raises PrecisionExhausted when no pivot can be certified nonzero.
+    Step i reads and writes only the trailing block g[i:][i:]: entries
+    outside it are never read again.  Raises PrecisionExhausted when no
+    pivot can be certified nonzero.
     """
     g = [row[:] for row in gram]
     n = len(g)
@@ -281,9 +282,9 @@ def _diagonalize_symmetric(gram):
             # valuation since p is odd
             for op in (tr_add, tr_sub):
                 cand = [row[:] for row in g]
-                for j in range(n):
+                for j in range(i, n):
                     cand[r][j] = op(cand[r][j], cand[c][j])
-                for j in range(n):
+                for j in range(i, n):
                     cand[j][r] = op(cand[j][r], cand[j][c])
                 if cand[r][r].val_or_none() == best[0]:
                     g = cand
@@ -301,10 +302,10 @@ def _diagonalize_symmetric(gram):
             if g[k][i].val_or_none() is not None:
                 factors[k] = tr_mul(g[k][i], inv_pivot)
         for k, factor in factors.items():
-            for j in range(n):
+            for j in range(i, n):
                 g[k][j] = tr_sub(g[k][j], tr_mul(factor, g[i][j]))
         for k, factor in factors.items():
-            for j in range(n):
+            for j in range(i, n):
                 g[j][k] = tr_sub(g[j][k], tr_mul(factor, g[j][i]))
         diag.append(pivot)
     return diag
@@ -315,8 +316,8 @@ def invariants_via_gram(datum) -> QuadInvariants:
     diagonalized with precision tracking; restarts with doubled precision
     on PrecisionExhausted."""
     q = datum.base.q_base
-    prec = 4 + sum(abs(f.c.val) // f.c.field.e + 2 for f in datum.factors)
-    for _ in range(5):
+    start = 4 + sum(abs(f.c.val) // f.c.field.e + 2 for f in datum.factors)
+    for prec in [start << k for k in range(5)]:
         try:
             classes = []
             for factor in datum.factors:
@@ -327,7 +328,7 @@ def invariants_via_gram(datum) -> QuadInvariants:
                     classes.append(_f_square_class(entry, datum.base))
             return _finish(*diagonal_invariants(classes, q), q)
         except PrecisionExhausted:
-            prec *= 2
+            pass
     raise PrecisionExhausted(f"Gram diagonalization failed up to precision {prec}")
 
 

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
+from thetaparam.errors import DomainError
 from thetaparam.finitefield import (
     DegreeTooLarge,
     DividesInput,
     NotPrime,
     ZeroInput,
     _mulmod,
-    _poly_mod,
+    _poly_divmod,
     _powmod,
     fq_canonical_nonsquare,
     fq_embedding,
@@ -18,6 +19,7 @@ from thetaparam.finitefield import (
     fq_multiplicative_generator,
     fq_norm1_generator,
     fq_sqrt,
+    is_prime,
 )
 
 
@@ -171,10 +173,75 @@ def test_mulmod_matches_schoolbook_product_and_reduction():
                     for i in range(d):
                         for j in range(d):
                             prod[i + j] = (prod[i + j] + a[i] * b[j]) % n
-                    red = _poly_mod(prod, modulus, n)
+                    red = _poly_divmod(prod, modulus, n)[1]
                     assert _mulmod(a, b, modulus, n) == red + (0,) * (d - len(red))
                     e = rng.randrange(12)
                     power = (1,) + (0,) * (d - 1)
                     for _ in range(e):
                         power = _mulmod(power, a, modulus, n)
                     assert _powmod(a, e, modulus, n) == power
+
+
+def _fields_up_to_729():
+    """Every F_{p^f}, p odd, with p^f <= 729."""
+    for p in range(3, 730):
+        if is_prime(p):
+            f = 1
+            while p**f <= 729:
+                yield fq_make(p, f)
+                f += 1
+
+
+def _checked_elements():
+    """Every nonzero element of the fields above, then 2,000 seeded nonzero
+    elements of F_5^8."""
+    for k in _fields_up_to_729():
+        yield from (x for x in k.elements() if not x.is_zero())
+    rng = random.Random(808)
+    k = fq_make(5, 8)
+    for _ in range(2000):
+        x = k.element([rng.randrange(5) for _ in range(8)])
+        if x.is_zero():
+            x = k.one()
+        yield x
+
+
+def _power(x, e):
+    """x^e, by the integer pow on a prime field (the same value, faster)."""
+    k = x.field
+    return k.element([pow(x.coeffs[0], e, k.p)]) if k.f == 1 else x**e
+
+
+def test_inverse_equals_fermat_power():
+    seen = 0
+    for x in _checked_elements():
+        assert x.inverse() == _power(x, x.field.order - 2)
+        seen += 1
+    assert seen > 44000
+    for k in (fq_make(3, 1), fq_make(5, 8)):
+        with pytest.raises(ZeroInput):
+            k.zero().inverse()
+
+
+def test_is_square_equals_euler_criterion():
+    squares = 0
+    for x in _checked_elements():
+        euler = _power(x, (x.field.order - 1) // 2) == x.field.one()
+        assert fq_is_square(x) == euler
+        squares += euler
+    assert 20000 < squares < 25000
+    with pytest.raises(ZeroInput):
+        fq_is_square(fq_make(5, 8).zero())
+
+
+def test_pullback_inverts_apply_and_rejects_the_rest():
+    for (p, a, b) in [(5, 2, 4), (3, 2, 6), (3, 3, 6), (7, 1, 2), (5, 2, 2)]:
+        emb = fq_embedding(fq_make(p, a), fq_make(p, b))
+        image = {emb.apply(x): x for x in emb.source.elements()}
+        assert len(image) == p**a
+        for y in emb.target.elements():
+            if y in image:
+                assert emb.pullback(y) == image[y]
+            else:
+                with pytest.raises(DomainError):
+                    emb.pullback(y)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from thetaparam.finitefield import fq_make
 from thetaparam.localfield import (
     STEP_RAMIFIED,
     STEP_UNRAMIFIED,
@@ -39,6 +40,7 @@ from thetaparam.localfield import (
     tr_trace_step,
     tr_trace_to_base,
     TruncatedElement,
+    _make_ring,
 )
 
 BASE5 = base_field(5)
@@ -329,3 +331,64 @@ def test_expansion_strictly_increasing():
     vals = [v for v, _ in exp]
     assert vals == sorted(vals) and len(set(vals)) == len(vals)
     assert vals[0] == 2
+
+
+def _valuation_from_parts(x):
+    """val_L from the p-adic valuations of the two coefficient parts."""
+    va, vb = x._parts_valp()
+    cap = x.ring.prec
+    if x.field.e == 1:
+        return None if va >= cap else va - x.shift
+    cands = [2 * (va - x.shift)] if va < cap else []
+    cands += [2 * (vb - x.shift) + 1] if vb < cap else []
+    return min(cands) if cands else None
+
+
+def _divisible_coeffs(ring, rng):
+    """Coefficients times random powers of p, so that high valuations and
+    zeros to working precision turn up."""
+    return tuple(rng.randrange(ring.pN) * ring.p ** rng.randrange(6) % ring.pN
+                 for _ in range(ring.d))
+
+
+def test_kept_valuation_matches_parts_and_leaves_eq_and_hash_alone():
+    rng = random.Random(17)
+    seen_none = 0
+    for field in (L5U, L5R, factor_field(base_field(3), 2, STEP_RAMIFIED)):
+        ring = ring_for(field, 5)
+        for _ in range(300):
+            a = _divisible_coeffs(ring, rng)
+            b = _divisible_coeffs(ring, rng) if ring.ram else None
+            shift = rng.randrange(3)
+            x = TruncatedElement(field, ring, a, b, shift)
+            fresh = TruncatedElement(field, ring, a, b, shift)
+            expected = _valuation_from_parts(x)
+            assert x.val_or_none() == expected
+            assert x.val_or_none() == expected  # the second call reads the kept value
+            assert "_val" in vars(x) and "_val" not in vars(fresh)
+            assert x == fresh and hash(x) == hash(fresh)
+            assert fresh.val_or_none() == expected
+            seen_none += expected is None
+    assert seen_none > 0
+
+
+def test_frobenius_images_are_the_hensel_roots_and_sum_to_the_trace():
+    """images(j)[1] is the unique root of the modulus mod p^N that reduces to
+    x^{p^j}; the cached trace map is the sum of the automorphisms."""
+    rng = random.Random(23)
+    for p, d in [(3, 2), (3, 5), (5, 3), (5, 4), (7, 2), (3, 6)]:
+        k = fq_make(p, d)
+        for prec in (1, 4, 13):
+            ring = _make_ring(p, d, False, prec)
+            for j in range(d):
+                r = ring.automorphism_images(j)[1]
+                acc = ring.uzero()
+                for c in reversed(ring.modulus):
+                    acc = ring.uadd(ring.umul(acc, r), ring.uscale(ring.uone(), c))
+                assert not any(acc)
+                assert k.element(r) == k.gen() ** (p**j)
+            a = tuple(rng.randrange(ring.pN) for _ in range(d))
+            by_sum = ring.uzero()
+            for j in range(d):
+                by_sum = ring.uadd(by_sum, ring.automorphism_sum(a, (j,)))
+            assert ring.automorphism_sum(a, tuple(range(d))) == by_sum

@@ -10,18 +10,27 @@ from thetaparam.localfield import (
     SQ_PI,
     SQ_U,
     SQ_UPI,
+    STEP_RAMIFIED,
     STEP_UNRAMIFIED,
     SYM_FIXED,
     LeadingTerm,
+    PrecisionExhausted,
     base_field,
     factor_field,
     lt_make,
     lt_mul,
     lt_neg,
+    tr_add,
+    tr_inv,
+    tr_mul,
+    tr_sub,
 )
+from thetaparam import quadform
 from thetaparam.quadform import (
     QuadInvariants,
     SymmetryFlagViolation,
+    _diagonalize_symmetric,
+    _gram_matrix,
     brute_force_hilbert,
     diagonal_invariants,
     hilbert_class,
@@ -219,3 +228,96 @@ def test_diagonal_invariants_hyperbolic():
     dim, det, hasse = diagonal_invariants([SQ_ONE, minus_one_class(5)], 5)
     assert dim == 2 and hasse == 1
     assert det == minus_one_class(5)
+
+
+def _full_row_diagonalize(gram, promotions):
+    """The elimination as it was before it kept to the trailing block: every
+    row and column operation runs over all n entries.  Appends one entry to
+    promotions per off-diagonal pivot moved onto the diagonal."""
+    g = [row[:] for row in gram]
+    n = len(g)
+    diag = []
+    for i in range(n):
+        best = None
+        for r in range(i, n):
+            for c in range(r, n):
+                v = g[r][c].val_or_none()
+                if v is not None and (best is None or v < best[0]):
+                    best = (v, r, c)
+        if best is None:
+            raise PrecisionExhausted("no certified pivot in the remaining block")
+        _, r, c = best
+        if r != c:
+            promotions.append((i, r, c))
+            for op in (tr_add, tr_sub):
+                cand = [row[:] for row in g]
+                for j in range(n):
+                    cand[r][j] = op(cand[r][j], cand[c][j])
+                for j in range(n):
+                    cand[j][r] = op(cand[j][r], cand[j][c])
+                if cand[r][r].val_or_none() == best[0]:
+                    g = cand
+                    break
+            else:
+                raise PrecisionExhausted("pivot promotion lost the valuation")
+        if r != i:
+            g[i], g[r] = g[r], g[i]
+            for row in g:
+                row[i], row[r] = row[r], row[i]
+        pivot = g[i][i]
+        inv_pivot = tr_inv(pivot)
+        factors = {}
+        for k in range(i + 1, n):
+            if g[k][i].val_or_none() is not None:
+                factors[k] = tr_mul(g[k][i], inv_pivot)
+        for k, factor in factors.items():
+            for j in range(n):
+                g[k][j] = tr_sub(g[k][j], tr_mul(factor, g[i][j]))
+        for k, factor in factors.items():
+            for j in range(n):
+                g[j][k] = tr_sub(g[j][k], tr_mul(factor, g[j][i]))
+        diag.append(pivot)
+    return diag
+
+
+def test_trailing_block_elimination_matches_full_row_reference():
+    """Every diagonal entry (a, b, shift) equals the full-row elimination's,
+    on the Gram matrices of seeded criterion-7 data at the precisions the
+    Gram route tries."""
+    rng = random.Random(727)
+    compared, ramified, largest, promotions = 0, 0, 0, []
+    for i in range(240):
+        d = gen.random_orthogonal_datum((3, 5, 7)[i % 3], rng, 4)
+        start = 4 + sum(abs(f.c.val) // f.c.field.e + 2 for f in d.factors)
+        for factor in d.factors:
+            for k in range(5):
+                gram = _gram_matrix(factor, start << k)
+                try:
+                    expected = _full_row_diagonalize(gram, promotions)
+                except PrecisionExhausted:
+                    with pytest.raises(PrecisionExhausted):
+                        _diagonalize_symmetric(gram)
+                    continue
+                got = _diagonalize_symmetric(gram)
+                assert [(e.a, e.b, e.shift) for e in got] == [(e.a, e.b, e.shift) for e in expected]
+                compared += 1
+                ramified += factor.step == STEP_RAMIFIED
+                largest = max(largest, len(gram))
+                break
+    assert compared >= 300 and ramified >= 100 and largest == 8
+    assert promotions
+
+
+def test_gram_exhaustion_reports_the_last_precision_tried(monkeypatch):
+    tried = []
+
+    def always_exhausted(gram):
+        tried.append(gram[0][0].ring.prec)
+        raise PrecisionExhausted("no certified pivot")
+
+    monkeypatch.setattr(quadform, "_diagonalize_symmetric", always_exhausted)
+    d = gen.random_orthogonal_datum(5, random.Random(3), 4)
+    start = 4 + sum(abs(f.c.val) // f.c.field.e + 2 for f in d.factors)
+    with pytest.raises(PrecisionExhausted, match=rf"failed up to precision {start * 16}$"):
+        invariants_via_gram(d)
+    assert tried == [start * 2**k for k in range(5)]
