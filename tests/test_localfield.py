@@ -317,6 +317,47 @@ def test_inverse_and_precision():
         z.val()
 
 
+def _lifted_element(field, v, prec, rng):
+    """A seeded element of valuation v: the sum of the lifts of a random
+    leading term at v and of random digits at v + 1, v + 2, v + 3."""
+    k = field.residue_field()
+    digits = [k.element([rng.randrange(k.p) for _ in range(k.f)]) for _ in range(4)]
+    lt = LeadingTerm(field, v, k.one() if digits[0].is_zero() else digits[0])
+    x = tr_lift(lt, prec)
+    for j, r in enumerate(digits[1:], 1):
+        if not r.is_zero():
+            x = tr_add(x, tr_lift(LeadingTerm(field, v + j, r), prec))
+    return lt, x
+
+
+@pytest.mark.parametrize("prec", [6, 9])
+def test_inverse_and_lift_on_both_layouts(prec):
+    rng = random.Random(41 + prec)
+    seen = set()
+    for p in (3, 5, 7):
+        base = base_field(p)
+        fields = [base, factor_field(base, 1, STEP_UNRAMIFIED), factor_field(base, 2, STEP_UNRAMIFIED),
+                  factor_field(base, 1, STEP_RAMIFIED), factor_field(base, 2, STEP_RAMIFIED),
+                  factor_field(base_field(p, 2), 2, STEP_RAMIFIED)]
+        for field in fields:
+            e = field.e
+            one = tr_from_int(field, 1, prec)
+            for v in range(-3, 4):
+                for _ in range(3):
+                    lt, x = _lifted_element(field, v, prec, rng)
+                    assert tr_lift(lt, prec).leading_term() == lt
+                    assert x.leading_term() == lt
+                    xi = tr_inv(x)
+                    assert xi.val() == -v
+                    prod = tr_mul(x, xi)
+                    assert prod.leading_term() == lt_one(field).with_sym(SYM_NONE, SYM_NONE)
+                    err = tr_sub(prod, one).val_or_none()
+                    assert err is None or err >= one.precision - 2 * e * abs(v)
+                    assert tr_inv(xi).leading_term() == lt
+                    seen.add((e, v % 2, v < 0))
+    assert len(seen) == 8
+
+
 def test_sum_precision_is_pessimistic():
     ring = ring_for(L5U, 6)
     a = tr_from_int(L5U, 1, 6)
