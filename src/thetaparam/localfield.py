@@ -12,11 +12,12 @@ optional quadratic step, either unramified (residue degree doubles) or
 ramified (the canonical step adjoins a square root of the uniformizer).
 
 The secondary model, TruncatedElement, is honest p-adic arithmetic at a
-tracked finite precision (coefficients live in Z/p^N over the deterministic
-unramified modulus, plus an optional t with t^2 = p).  It exists only as a
-brute-force oracle: Gram matrices of trace forms, norm-image enumeration,
-and solubility searches are computed here and compared against the exact
-leading-term routes.
+tracked finite precision.  An element is e parts, the coefficients of
+t^0, ..., t^(e-1) for the canonical uniformizer t (t^2 = p when e = 2),
+each in Z/p^N over the deterministic unramified modulus.  It exists only
+as a brute-force oracle: Gram matrices of trace forms, norm-image
+enumeration, and solubility searches are computed here and compared
+against the exact leading-term routes.
 """
 
 from __future__ import annotations
@@ -323,18 +324,19 @@ def canonical_tau(field: TameFieldDescriptor) -> LeadingTerm:
 
 
 class TruncatedRing:
-    """O_L to absolute p-adic precision N, as (Z/p^N)[x]/(modulus)[t]/(t^2-p).
+    """O_L to absolute p-adic precision N, as (Z/p^N)[x]/(modulus)[t]/(t^e-p).
 
-    d is the degree of the maximal unramified part of L over Q_p; ram marks
-    the ramified quadratic step.  The modulus is the integer lift of the
-    deterministic F_{p^d} modulus, so residues match the finite field layer.
-    Instances are interned by _make_ring, so identity comparison is safe.
+    d is the degree of the maximal unramified part of L over Q_p and e the
+    ramification index (t = p for e = 1).  The modulus is the integer lift
+    of the deterministic F_{p^d} modulus, so residues match the finite field
+    layer.  Instances are interned by _make_ring, so identity comparison is
+    safe.
     """
 
-    def __init__(self, p: int, d: int, ram: bool, prec: int):
+    def __init__(self, p: int, d: int, e: int, prec: int):
         self.p = p
         self.d = d
-        self.ram = ram
+        self.e = e
         self.prec = prec
         self.pN = p**prec
         self.k = fq_make(p, d)
@@ -368,6 +370,11 @@ class TruncatedRing:
 
     def uzero(self):
         return (0,) * self.d
+
+    def parts(self, u, k: int = 0):
+        """The coefficient parts of u * t^k for k < e."""
+        zero = (self.uzero(),)
+        return zero * k + (u,) + zero * (self.e - 1 - k)
 
     def uinv(self, a):
         """Inverse of a unit: pow mod p^N for a constant (every unit when
@@ -439,12 +446,12 @@ class TruncatedRing:
 
 
 @lru_cache(maxsize=None)
-def _make_ring(p: int, d: int, ram: bool, prec: int) -> TruncatedRing:
-    return TruncatedRing(p, d, ram, prec)
+def _make_ring(p: int, d: int, e: int, prec: int) -> TruncatedRing:
+    return TruncatedRing(p, d, e, prec)
 
 
 def ring_for(field: TameFieldDescriptor, prec: int) -> TruncatedRing:
-    return _make_ring(field.base_p, field.base_f * field.f, field.e == 2, prec)
+    return _make_ring(field.base_p, field.base_f * field.f, field.e, prec)
 
 
 def _valp_int(c: int, p: int, cap: int) -> int:
@@ -459,18 +466,17 @@ def _valp_int(c: int, p: int, cap: int) -> int:
 
 @dataclass(frozen=True)
 class TruncatedElement:
-    """(a + b t) / p^shift with a, b in the unramified part mod p^N.
+    """(parts[0] + parts[1] t + ... + parts[e-1] t^(e-1)) / p^shift.
 
-    t is absent (b = None) unless the field has a ramified step, in which
-    case t^2 = p and t is the canonical uniformizer.  The digit expansion
-    (a strictly increasing list of (valuation, residue) pairs) is exposed
-    as a derived view.
+    Each part is a length-d coefficient tuple in the unramified ring mod p^N,
+    and t is the canonical uniformizer: t^2 = p when e = 2.  The digit
+    expansion (a strictly increasing list of (valuation, residue) pairs) is
+    exposed as a derived view.
     """
 
     field: TameFieldDescriptor
     ring: TruncatedRing
-    a: tuple
-    b: tuple | None
+    parts: tuple
     shift: int = 0
 
     @property
@@ -478,29 +484,19 @@ class TruncatedElement:
         """Absolute precision in val_L units: digits below this are exact."""
         return self.field.e * (self.ring.prec - self.shift)
 
-    def _parts_valp(self):
-        cap = self.ring.prec
-        va = min((_valp_int(c, self.ring.p, cap) for c in self.a), default=cap)
-        vb = (
-            min((_valp_int(c, self.ring.p, cap) for c in self.b), default=cap)
-            if self.b is not None
-            else cap
-        )
-        return va, vb
-
     def val_or_none(self):
-        """L-normalized valuation, or None when zero to working precision.
+        """L-normalized valuation, or None when zero to working precision:
+        the least e (v_p(part k) - shift) + k over the parts.
 
         Computed once and kept in the instance dict, outside the fields
         that == and hash read."""
         if "_val" in self.__dict__:
             return self.__dict__["_val"]
-        va, vb = self._parts_valp()
-        cap, e = self.ring.prec, self.field.e
-        cands = [e * (va - self.shift)] if va < cap else []
-        if vb < cap:  # only for a t-part, so e = 2
-            cands.append(2 * (vb - self.shift) + 1)
-        v = self.__dict__["_val"] = min(cands, default=None)
+        p, cap = self.ring.p, self.ring.prec
+        valps = [min([_valp_int(c, p, cap) for c in u]) for u in self.parts]
+        vk = min(valps)  # the least candidate: least v_p first, then least k
+        v = self.ring.e * (vk - self.shift) + valps.index(vk) if vk < cap else None
+        self.__dict__["_val"] = v
         return v
 
     def val(self) -> int:
@@ -511,14 +507,9 @@ class TruncatedElement:
 
     def leading_term(self, sym=SYM_NONE, sigma_sym=SYM_NONE) -> LeadingTerm:
         v = self.val()
-        p = self.ring.p
-        if self.field.e == 1:
-            k = v + self.shift
-            res = self.field.residue_field().element([(c // p**k) % p for c in self.a])
-        else:
-            part = self.a if v % 2 == 0 else self.b
-            k = (v if v % 2 == 0 else v - 1) // 2 + self.shift
-            res = self.field.residue_field().element([(c // p**k) % p for c in part])
+        p, e = self.ring.p, self.ring.e
+        k = v // e + self.shift
+        res = self.field.residue_field().element([(c // p**k) % p for c in self.parts[v % e]])
         return LeadingTerm(self.field, v, res, sym, sigma_sym)
 
     def expansion(self):
@@ -534,7 +525,7 @@ class TruncatedElement:
         return out
 
     def __repr__(self):
-        return f"Trunc({self.field}, a={list(self.a)}, b={self.b and list(self.b)}, /p^{self.shift})"
+        return f"Trunc({self.field}, parts={[list(u) for u in self.parts]}, /p^{self.shift})"
 
 
 def _align(x: TruncatedElement, y: TruncatedElement):
@@ -550,53 +541,57 @@ def _reshift(x: TruncatedElement, s: int) -> TruncatedElement:
     if s == x.shift:
         return x
     mult = x.ring.p ** (s - x.shift)
-    a = x.ring.uscale(x.a, mult)
-    b = x.ring.uscale(x.b, mult) if x.b is not None else None
-    return TruncatedElement(x.field, x.ring, a, b, s)
+    return TruncatedElement(x.field, x.ring, tuple([x.ring.uscale(u, mult) for u in x.parts]), s)
 
 
 def _normalized(x: TruncatedElement) -> TruncatedElement:
     p = x.ring.p
-    a, b, s = x.a, x.b, x.shift
-    while s > 0 and all(c % p == 0 for c in a) and (b is None or all(c % p == 0 for c in b)):
-        a = tuple(c // p for c in a)
-        b = tuple(c // p for c in b) if b is not None else None
+    parts, s = x.parts, x.shift
+    while s > 0 and all(c % p == 0 for u in parts for c in u):
+        parts = tuple([tuple(c // p for c in u) for u in parts])
         s -= 1
-    return x if s == x.shift else TruncatedElement(x.field, x.ring, a, b, s)
+    return x if s == x.shift else TruncatedElement(x.field, x.ring, parts, s)
+
+
+def _product(x: TruncatedElement, y: TruncatedElement) -> TruncatedElement:
+    """x * y on one ring, with t^2 = p for e = 2."""
+    ring = x.ring
+    if ring.e == 1:
+        parts = (ring.umul(x.parts[0], y.parts[0]),)
+    else:
+        (a, b), (c, d) = x.parts, y.parts
+        parts = (
+            ring.uadd(ring.umul(a, c), ring.uscale(ring.umul(b, d), ring.p)),
+            ring.uadd(ring.umul(a, d), ring.umul(b, c)),
+        )
+    return _normalized(TruncatedElement(x.field, ring, parts, x.shift + y.shift))
+
+
+def _t_negated(x: TruncatedElement) -> TruncatedElement:
+    """The image of x under t -> -t."""
+    parts = tuple([x.ring.uneg(u) if k % 2 else u for k, u in enumerate(x.parts)])
+    return TruncatedElement(x.field, x.ring, parts, x.shift)
 
 
 def tr_from_int(field: TameFieldDescriptor, n: int, prec: int) -> TruncatedElement:
     ring = ring_for(field, prec)
-    a = ring.uscale(ring.uone(), n % ring.pN)
-    b = ring.uzero() if ring.ram else None
-    return TruncatedElement(field, ring, a, b, 0)
+    return TruncatedElement(field, ring, ring.parts(ring.uscale(ring.uone(), n % ring.pN)), 0)
 
 
 def tr_lift(lt: LeadingTerm, prec: int) -> TruncatedElement:
     """The coefficient lift of a leading term: lift(residue) * pi_L^val."""
     ring = ring_for(lt.field, prec)
-    unit = tuple(int(c) for c in lt.residue.coeffs)
-    zero = ring.uzero()
-    if ring.ram:
-        v, s = lt.val, 0
-        if v < 0:
-            s = (-v + 1) // 2
-            v += 2 * s
-        k, odd = divmod(v, 2)
-        a = ring.uscale(unit, ring.p**k) if not odd else zero
-        b = ring.uscale(unit, ring.p**k) if odd else zero
-        return _normalized(TruncatedElement(lt.field, ring, a, b, s))
-    v, s = lt.val, 0
-    if v < 0:
-        s, v = -v, 0
-    return TruncatedElement(lt.field, ring, ring.uscale(unit, ring.p**v), None, s)
+    e = ring.e
+    s = max(0, -(lt.val // e))  # ceil(-val / e) for a negative val
+    v = lt.val + e * s
+    unit = ring.uscale(tuple(int(c) for c in lt.residue.coeffs), ring.p ** (v // e))
+    return TruncatedElement(lt.field, ring, ring.parts(unit, v % e), s)
 
 
 def tr_add(x: TruncatedElement, y: TruncatedElement) -> TruncatedElement:
     x, y, s = _align(x, y)
     ring = x.ring
-    b = ring.uadd(x.b, y.b) if x.b is not None else None
-    return TruncatedElement(x.field, ring, ring.uadd(x.a, y.a), b, s)
+    return TruncatedElement(x.field, ring, tuple(map(ring.uadd, x.parts, y.parts)), s)
 
 
 def tr_sub(x: TruncatedElement, y: TruncatedElement) -> TruncatedElement:
@@ -604,77 +599,50 @@ def tr_sub(x: TruncatedElement, y: TruncatedElement) -> TruncatedElement:
 
 
 def tr_neg(x: TruncatedElement) -> TruncatedElement:
-    b = x.ring.uneg(x.b) if x.b is not None else None
-    return TruncatedElement(x.field, x.ring, x.ring.uneg(x.a), b, x.shift)
+    return TruncatedElement(x.field, x.ring, tuple(map(x.ring.uneg, x.parts)), x.shift)
 
 
 def tr_mul(x: TruncatedElement, y: TruncatedElement) -> TruncatedElement:
     if x.field != y.field or x.ring is not y.ring:
         raise FieldMismatch("truncated elements on different fields")
-    ring = x.ring
-    if x.b is None:
-        return _normalized(
-            TruncatedElement(x.field, ring, ring.umul(x.a, y.a), None, x.shift + y.shift)
-        )
-    a = ring.uadd(ring.umul(x.a, y.a), ring.uscale(ring.umul(x.b, y.b), ring.p))
-    b = ring.uadd(ring.umul(x.a, y.b), ring.umul(x.b, y.a))
-    return _normalized(TruncatedElement(x.field, ring, a, b, x.shift + y.shift))
+    return _product(x, y)
 
 
 def tr_inv(x: TruncatedElement) -> TruncatedElement:
     """Inverse of a certified-nonzero element."""
     ring = x.ring
     v = x.val()
-    if x.b is None:
-        # strip p^k to a unit, invert, restore
-        k = v + x.shift
-        a = tuple(c // ring.p**k for c in x.a)
-        inv = ring.uinv(a)
-        out = TruncatedElement(x.field, ring, inv, None, 0)
-        return _mul_base_power(out, -v)
-    if v % 2 != 0:
+    if v % ring.e:
         # y = x*t has even valuation and 1/x = t * (1/y) since t^2 = p
-        y = tr_mul(x, _t_element(x.field, ring))
-        return tr_mul(tr_inv(y), _t_element(x.field, ring))
-    k = v // 2 + x.shift
-    a = tuple(c // ring.p**k for c in x.a)
-    b = tuple(c // ring.p**k for c in x.b)
-    # (a + bt)^{-1} = (a - bt) / (a^2 - p b^2)
-    denom = ring.usub(ring.umul(a, a), ring.uscale(ring.umul(b, b), ring.p))
-    dinv = ring.uinv(denom)
-    out = TruncatedElement(x.field, ring, ring.umul(a, dinv), ring.uneg(ring.umul(b, dinv)), 0)
-    return _mul_base_power(out, -v)
-
-
-def _t_element(field, ring) -> TruncatedElement:
-    return TruncatedElement(field, ring, ring.uzero(), ring.uone(), 0)
+        return _mul_base_power(tr_inv(_mul_base_power(x, 1)), 1)
+    # strip p^k to a unit u and invert it as conj(u) / Nm(u), conj: t -> -t
+    pk = ring.p ** (v // ring.e + x.shift)
+    u = TruncatedElement(x.field, ring, tuple([tuple([c // pk for c in w]) for w in x.parts]), 0)
+    conj = _t_negated(u)
+    norm_inv = ring.uinv(_product(u, conj).parts[0])
+    inv = TruncatedElement(x.field, ring, tuple([ring.umul(w, norm_inv) for w in conj.parts]), 0)
+    return _mul_base_power(inv, -v)
 
 
 def _mul_base_power(x: TruncatedElement, v: int) -> TruncatedElement:
     """Multiply by pi_L^v where pi_L is the canonical uniformizer of L."""
     ring = x.ring
-    if ring.ram:
-        out = x
-        if v % 2 != 0:
-            out = tr_mul(out, _t_element(x.field, ring))
-            v -= 1
-        k = v // 2
-    else:
-        out, k = x, v
-    if k >= 0:
-        a = ring.uscale(out.a, ring.p**k)
-        b = ring.uscale(out.b, ring.p**k) if out.b is not None else None
-        return _normalized(TruncatedElement(out.field, ring, a, b, out.shift))
-    return _normalized(TruncatedElement(out.field, ring, out.a, out.b, out.shift - k))
+    if v % ring.e:
+        x = _product(x, TruncatedElement(x.field, ring, ring.parts(ring.uone(), 1), 0))
+        v -= 1
+    k = v // ring.e
+    parts = tuple([ring.uscale(u, ring.p**k) for u in x.parts]) if k > 0 else x.parts
+    return _normalized(TruncatedElement(x.field, ring, parts, x.shift - min(k, 0)))
 
 
 def tr_conj(x: TruncatedElement) -> TruncatedElement:
     """The involution of the marked quadratic step, exactly."""
     x.field._need_step()
     if x.field.step == STEP_RAMIFIED:
-        return TruncatedElement(x.field, x.ring, x.a, x.ring.uneg(x.b), x.shift)
+        return _t_negated(x)
     j = x.ring.d // 2
-    return TruncatedElement(x.field, x.ring, x.ring.automorphism_sum(x.a, (j,)), None, x.shift)
+    parts = tuple([x.ring.automorphism_sum(u, (j,)) for u in x.parts])
+    return TruncatedElement(x.field, x.ring, parts, x.shift)
 
 
 def tr_trace_step(x: TruncatedElement) -> TruncatedElement:
@@ -686,10 +654,8 @@ def tr_norm_step(x: TruncatedElement) -> TruncatedElement:
 
 
 def tr_trace_to_base(x: TruncatedElement) -> TruncatedElement:
-    """Tr_{L/F}: sum over the Galois automorphisms fixing the base field F."""
+    """Tr_{L/F}: e times the sum of part 0 over the Galois automorphisms
+    fixing the base field F (the t-parts of the e t-conjugates cancel)."""
     ring = x.ring
-    acc_a = ring.automorphism_sum(x.a, tuple(range(0, ring.d, x.field.base_f)))
-    if x.b is not None:
-        acc_a = ring.uscale(acc_a, 2)  # t-parts of the two t-conjugates cancel
-        return TruncatedElement(x.field, ring, acc_a, ring.uzero(), x.shift)
-    return TruncatedElement(x.field, ring, acc_a, None, x.shift)
+    acc = ring.automorphism_sum(x.parts[0], tuple(range(0, ring.d, x.field.base_f)))
+    return TruncatedElement(x.field, ring, ring.parts(ring.uscale(acc, ring.e)), x.shift)

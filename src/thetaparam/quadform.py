@@ -229,16 +229,13 @@ def witt_equal(a: QuadInvariants, b: QuadInvariants) -> bool:
 
 def _tower_basis(field: TameFieldDescriptor, ring):
     """Integral F-basis of L: power basis of the unramified layer, times
-    {1, t} for a ramified step."""
+    t^k for k < e."""
     d = ring.d
     gen = tuple([0, 1] + [0] * (d - 2)) if d > 1 else (0,)
     powers = [ring.uone()]
     for _ in range(field.f - 1):  # [unramified layer : F] = residue degree f
         powers.append(ring.umul(powers[-1], gen))
-    basis = [TruncatedElement(field, ring, u, ring.uzero() if ring.ram else None, 0) for u in powers]
-    if ring.ram:
-        basis += [TruncatedElement(field, ring, ring.uzero(), u, 0) for u in powers]
-    return basis
+    return [TruncatedElement(field, ring, ring.parts(u, k), 0) for k in range(ring.e) for u in powers]
 
 
 def _gram_matrix(factor, prec: int):
@@ -382,7 +379,7 @@ def brute_force_hilbert(a: LeadingTerm, b: LeadingTerm) -> int:
             for i in range(f0):
                 coeffs[i] += (m % p) * p**j
                 m //= p
-        reps.append(TruncatedElement(field, ring, tuple(coeffs), None, 0))
+        reps.append(TruncatedElement(field, ring, ring.parts(tuple(coeffs)), 0))
     for x in reps:
         xv = x.val_or_none()
         for y in reps:

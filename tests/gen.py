@@ -198,3 +198,9 @@ def random_witness(p: int, rng: random.Random, n_max: int = 3) -> DistinctionWit
         factors.append(Factor(m, STEP_RAMIFIED, c, chi0, gammas))
     datum = TorusDatum(e_base, tuple(factors), POLARITY_SYMPLECTIC)
     return DistinctionWitness(base_f, datum)
+
+
+def random_parts(ring, rng):
+    """Uniformly random coefficient parts of a truncated element, part 0
+    drawn first."""
+    return tuple(tuple(rng.randrange(ring.pN) for _ in range(ring.d)) for _ in range(ring.e))

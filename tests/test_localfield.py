@@ -43,6 +43,8 @@ from thetaparam.localfield import (
     _make_ring,
 )
 
+import gen
+
 BASE5 = base_field(5)
 L5U = factor_field(BASE5, 1, STEP_UNRAMIFIED)
 L5R = factor_field(BASE5, 1, STEP_RAMIFIED)
@@ -146,21 +148,21 @@ def enumerate_norm_classes(field, digits=2):
     d = ring.d
     classes = set()
     span = p ** (d * digits)
-    for k in range(span * (p**digits if ring.ram else 1)):
+    for k in range(span * p ** (digits * (ring.e - 1))):
         m = k
         a = [0] * d
         for j in range(digits):
             for i in range(d):
                 a[i] += (m % p) * p**j
                 m //= p
-        if ring.ram:
+        parts = [tuple(a)]
+        if ring.e == 2:
             b = [0] * d
             for j in range(digits):
                 b[0] += (m % p) * p**j
                 m //= p
-            x = TruncatedElement(field, ring, tuple(a), tuple(b), 0)
-        else:
-            x = TruncatedElement(field, ring, tuple(a), None, 0)
+            parts.append(tuple(b))
+        x = TruncatedElement(field, ring, tuple(parts), 0)
         if x.val_or_none() is None:
             continue
         nm = tr_norm_step(x)
@@ -200,7 +202,7 @@ def test_is_norm_examples():
             prec = 6
             ring = ring_for(field, prec)
             coeffs = tuple(rng.randrange(1, ring.pN) for _ in range(ring.d))
-            y = TruncatedElement(field, ring, coeffs, ring.uzero() if ring.ram else None, 0)
+            y = TruncatedElement(field, ring, ring.parts(coeffs), 0)
             v = y.val_or_none()
             if v is None or v > 2:
                 continue  # the norm would fall outside working precision
@@ -221,7 +223,7 @@ def test_no_val0_trace_zero_element_in_ramified_step():
     found = False
     for a in range(1, p**2):
         for b in range(p**2):
-            x = TruncatedElement(field, ring, (a,), (b,), 0)
+            x = TruncatedElement(field, ring, ((a,), (b,)), 0)
             if x.val_or_none() != 0:
                 continue
             tr = tr_trace_step(x)
@@ -264,20 +266,8 @@ def test_leading_term_is_multiplicative_on_random_truncated():
     for field in (L5U, L5R, factor_field(base_field(3), 2, STEP_UNRAMIFIED)):
         ring = ring_for(field, 7)
         for _ in range(60):
-            a = TruncatedElement(
-                field,
-                ring,
-                tuple(rng.randrange(ring.pN) for _ in range(ring.d)),
-                tuple(rng.randrange(ring.pN) for _ in range(ring.d)) if ring.ram else None,
-                0,
-            )
-            b = TruncatedElement(
-                field,
-                ring,
-                tuple(rng.randrange(ring.pN) for _ in range(ring.d)),
-                tuple(rng.randrange(ring.pN) for _ in range(ring.d)) if ring.ram else None,
-                0,
-            )
+            a = TruncatedElement(field, ring, gen.random_parts(ring, rng), 0)
+            b = TruncatedElement(field, ring, gen.random_parts(ring, rng), 0)
             if a.val_or_none() is None or b.val_or_none() is None:
                 continue
             prod = tr_mul(a, b)
@@ -375,14 +365,15 @@ def test_expansion_strictly_increasing():
 
 
 def _valuation_from_parts(x):
-    """val_L from the p-adic valuations of the two coefficient parts."""
-    va, vb = x._parts_valp()
-    cap = x.ring.prec
-    if x.field.e == 1:
-        return None if va >= cap else va - x.shift
-    cands = [2 * (va - x.shift)] if va < cap else []
-    cands += [2 * (vb - x.shift) + 1] if vb < cap else []
-    return min(cands) if cands else None
+    """val_L from the p-adic valuations of the coefficient parts: part k
+    contributes e (v_p - shift) + k unless it vanishes mod p^N."""
+    p, cap, e = x.ring.p, x.ring.prec, x.field.e
+    cands = []
+    for k, part in enumerate(x.parts):
+        vp = next((j for j in range(cap) if any(c % p ** (j + 1) for c in part)), None)
+        if vp is not None:
+            cands.append(e * (vp - x.shift) + k)
+    return min(cands, default=None)
 
 
 def _divisible_coeffs(ring, rng):
@@ -398,11 +389,10 @@ def test_kept_valuation_matches_parts_and_leaves_eq_and_hash_alone():
     for field in (L5U, L5R, factor_field(base_field(3), 2, STEP_RAMIFIED)):
         ring = ring_for(field, 5)
         for _ in range(300):
-            a = _divisible_coeffs(ring, rng)
-            b = _divisible_coeffs(ring, rng) if ring.ram else None
+            parts = tuple(_divisible_coeffs(ring, rng) for _ in range(ring.e))
             shift = rng.randrange(3)
-            x = TruncatedElement(field, ring, a, b, shift)
-            fresh = TruncatedElement(field, ring, a, b, shift)
+            x = TruncatedElement(field, ring, parts, shift)
+            fresh = TruncatedElement(field, ring, parts, shift)
             expected = _valuation_from_parts(x)
             assert x.val_or_none() == expected
             assert x.val_or_none() == expected  # the second call reads the kept value
@@ -420,7 +410,7 @@ def test_frobenius_images_are_the_hensel_roots_and_sum_to_the_trace():
     for p, d in [(3, 2), (3, 5), (5, 3), (5, 4), (7, 2), (3, 6)]:
         k = fq_make(p, d)
         for prec in (1, 4, 13):
-            ring = _make_ring(p, d, False, prec)
+            ring = _make_ring(p, d, 1, prec)
             for j in range(d):
                 r = ring.automorphism_images(j)[1]
                 acc = ring.uzero()

@@ -180,13 +180,7 @@ def test_witt_equal_and_norm_scaling():
         f = d.factors[i]
         ring = ring_for(f.c.field, 6)
         while True:
-            y = TruncatedElement(
-                f.c.field,
-                ring,
-                tuple(rng.randrange(ring.pN) for _ in range(ring.d)),
-                tuple(rng.randrange(ring.pN) for _ in range(ring.d)) if ring.ram else None,
-                0,
-            )
+            y = TruncatedElement(f.c.field, ring, gen.random_parts(ring, rng), 0)
             v = y.val_or_none()
             if v is not None and v <= 1:
                 break
@@ -281,7 +275,7 @@ def _full_row_diagonalize(gram, promotions):
 
 
 def test_trailing_block_elimination_matches_full_row_reference():
-    """Every diagonal entry (a, b, shift) equals the full-row elimination's,
+    """Every diagonal entry (parts, shift) equals the full-row elimination's,
     on the Gram matrices of seeded criterion-7 data at the precisions the
     Gram route tries."""
     rng = random.Random(727)
@@ -299,7 +293,7 @@ def test_trailing_block_elimination_matches_full_row_reference():
                         _diagonalize_symmetric(gram)
                     continue
                 got = _diagonalize_symmetric(gram)
-                assert [(e.a, e.b, e.shift) for e in got] == [(e.a, e.b, e.shift) for e in expected]
+                assert [(e.parts, e.shift) for e in got] == [(e.parts, e.shift) for e in expected]
                 compared += 1
                 ramified += factor.step == STEP_RAMIFIED
                 largest = max(largest, len(gram))
