@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import DomainError
-from .finitefield import fq_canonical_nonsquare, fq_embedding, fq_make, fq_sqrt
+from .finitefield import fq_embedding
 from .localfield import (
     STEP_RAMIFIED,
     STEP_UNRAMIFIED,
@@ -60,7 +60,6 @@ from .torusdata import (
     block_decompose,
     datum_equivalent,
     depth_zero_general_position,
-    normalize_c_valuations,
     validate,
 )
 
@@ -127,9 +126,8 @@ def parity_predict(datum: TorusDatum):
     for f in datum.factors:
         if f.gamma_levels or f.step != STEP_UNRAMIFIED:
             raise NotDepthZero("parity prediction applies to depth-zero data")
-    norm = normalize_c_valuations(datum)
-    r = sum(1 for f in norm.factors if f.c.val % 2 == 0)
-    s = len(norm.factors) - r
+    r = sum(1 for f in datum.factors if f.c.val % 2 == 0)
+    s = len(datum.factors) - r
     disc = SQ_ONE if (r + s) % 2 == 0 else SQ_U
     hasse = 1 if r % 2 == 0 else -1
     inv = QuadInvariants(2 * datum.n, disc, hasse)
@@ -280,12 +278,10 @@ def e_descriptor(base_f_field: TameFieldDescriptor) -> TameFieldDescriptor:
 
 def canonical_iota(base_f_field: TameFieldDescriptor) -> LeadingTerm:
     """iota = sqrt(u) in E: a trace-zero unit for sigma, with u the canonical
-    non-square of the residue field of F."""
-    e_base = e_descriptor(base_f_field)
-    k_f = fq_make(base_f_field.base_p, base_f_field.base_f)
-    k_e = e_base.residue_field()
-    s = fq_sqrt(fq_embedding(k_f, k_e).apply(fq_canonical_nonsquare(k_f)))
-    return LeadingTerm(e_base, 0, s, SYM_NONE, SYM_ANTI)
+    non-square of the residue field of F.  E/F is the unramified quadratic
+    step over F, so this is its canonical tau."""
+    tau = canonical_tau(factor_field(base_f_field, 1, STEP_UNRAMIFIED))
+    return LeadingTerm(e_descriptor(base_f_field), 0, tau.residue, SYM_NONE, SYM_ANTI)
 
 
 def canonical_sigma_uniformizer(base_f_field: TameFieldDescriptor) -> LeadingTerm:

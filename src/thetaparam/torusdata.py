@@ -156,8 +156,6 @@ class FiniteTorusDatum:
     with character exponents on the norm-one groups of order q^{m_i} + 1."""
 
     q: int
-    p: int
-    f0: int
     entries: tuple  # of m_i
     exponents: tuple
 
@@ -169,39 +167,22 @@ class FiniteTorusDatum:
         return tuple(self.q**m + 1 for m in self.entries)
 
 
-def normalize_c_valuations(datum: TorusDatum) -> TorusDatum:
-    """Equivalent datum with val_L(c) in {0, 1}: c is rescaled by the norm
-    Nm(pi_L^{-k}), which is pi^{-2k} for an unramified step and (-pi0)^{-k}
-    for the ramified one."""
-    out = []
-    for f in datum.factors:
-        c = f.c
-        k = c.val // 2
-        if k:
-            res = c.residue
-            if f.step == STEP_RAMIFIED and k % 2:
-                res = -res
-            c = replace(c, val=c.val - 2 * k, residue=res)
-        out.append(replace(f, c=c))
-    return datum.replace_factors(out)
-
-
 def residue_reduction(datum: TorusDatum):
     """Split the depth-zero datum by val(c) parity into the two residue
-    torus data (I1: even, I2: odd), after unit normalization."""
+    torus data (I1: even, I2: odd).  Rescaling c by a norm moves val(c) by
+    an even amount, so the split needs no normalization."""
     for f in datum.factors:
         if f.gamma_levels or f.step != STEP_UNRAMIFIED:
             raise NotDepthZero("residue reduction needs an unramified, gamma-free datum")
-    norm = normalize_c_valuations(datum)
     q = datum.base.q_base
     packs = {0: [], 1: []}
-    for f in norm.factors:
+    for f in datum.factors:
         packs[f.c.val % 2].append((f.m, f.chi0 % (q**f.m + 1)))
     out = []
     for parity in (0, 1):
         ms = tuple(m for m, _ in packs[parity])
         ks = tuple(k for _, k in packs[parity])
-        out.append(FiniteTorusDatum(q, datum.base.base_p, datum.base.base_f, ms, ks))
+        out.append(FiniteTorusDatum(q, ms, ks))
     return out[0], out[1]
 
 

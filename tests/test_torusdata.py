@@ -28,7 +28,6 @@ from thetaparam.torusdata import (
     block_decompose,
     datum_equivalent,
     is_general_position,
-    normalize_c_valuations,
     recombine,
     residue_reduction,
     validate,
@@ -275,8 +274,6 @@ def test_residue_reduction_normalizes_high_valuations():
     datum = TorusDatum(BASE5, (f,), POLARITY_SYMPLECTIC)
     r1, r2 = residue_reduction(datum)
     assert r1.entries == (1,) and r2.entries == ()
-    norm = normalize_c_valuations(datum)
-    assert norm.factors[0].c.val == 0
 
 
 def test_residue_reduction_requires_depth_zero():
@@ -300,19 +297,19 @@ def test_dims_add_on_random_data():
 
 
 def test_weyl_orbit_q3_m1():
-    fd = FiniteTorusDatum(3, 3, 1, (1,), (1,))
+    fd = FiniteTorusDatum(3, (1,), (1,))
     assert weyl_orbit(fd, (1,)) == frozenset({(1,), (3,)})
     assert weyl_orbit(fd, (0,)) == frozenset({(0,)})
 
 
 def test_weyl_orbit_factor_swap():
-    fd = FiniteTorusDatum(5, 5, 1, (1, 1), (0, 0))
+    fd = FiniteTorusDatum(5, (1, 1), (0, 0))
     orbit = weyl_orbit(fd, (1, 2))
     assert (2, 1) in orbit
 
 
 def test_general_position_examples():
-    fd = FiniteTorusDatum(3, 3, 1, (1,), (0,))
+    fd = FiniteTorusDatum(3, (1,), (0,))
     assert is_general_position(fd, (1,))
     assert not is_general_position(fd, (2,))  # fixed by inversion
     assert not is_general_position(fd, (0,))
@@ -329,7 +326,7 @@ def test_general_position_closed_form_matches_orbit_enumeration():
         (5, (1, 2)), (5, (1, 1, 1)), (7, (1, 1)),
     ]
     for q, entries in cases:
-        fd = FiniteTorusDatum(q, q, 1, entries, tuple(0 for _ in entries))
+        fd = FiniteTorusDatum(q, entries, tuple(0 for _ in entries))
         order = weyl_group_order(fd)
         for chi in itertools.product(*(range(q**m + 1) for m in entries)):
             expected = len(weyl_orbit(fd, chi)) == order
@@ -341,7 +338,7 @@ def test_orbit_size_divides_group_order_and_gp_is_orbit_invariant():
     for _ in range(40):
         q = rng.choice([3, 5, 7])
         entries = tuple(rng.choice([1, 1, 2]) for _ in range(rng.randint(1, 3)))
-        fd = FiniteTorusDatum(q, q, 1, entries, tuple(0 for _ in entries))
+        fd = FiniteTorusDatum(q, entries, tuple(0 for _ in entries))
         chi = tuple(rng.randrange(q**m + 1) for m in entries)
         orbit = weyl_orbit(fd, chi)
         order = weyl_group_order(fd)
