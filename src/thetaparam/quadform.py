@@ -235,7 +235,9 @@ def _tower_basis(field: TameFieldDescriptor, ring):
     powers = [ring.uone()]
     for _ in range(field.f - 1):  # [unramified layer : F] = residue degree f
         powers.append(ring.umul(powers[-1], gen))
-    return [TruncatedElement(field, ring, ring.parts(u, k), 0) for k in range(ring.e) for u in powers]
+    return [
+        TruncatedElement(field, ring, ring.parts(u, k), 0) for k in range(ring.e) for u in powers
+    ]
 
 
 def _gram_matrix(factor, prec: int):
