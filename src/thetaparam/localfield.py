@@ -590,16 +590,12 @@ def tr_lift(lt: LeadingTerm, prec: int) -> TruncatedElement:
 
 def tr_add(x: TruncatedElement, y: TruncatedElement) -> TruncatedElement:
     x, y, s = _align(x, y)
-    ring = x.ring
-    return TruncatedElement(x.field, ring, tuple(map(ring.uadd, x.parts, y.parts)), s)
+    return TruncatedElement(x.field, x.ring, tuple(map(x.ring.uadd, x.parts, y.parts)), s)
 
 
 def tr_sub(x: TruncatedElement, y: TruncatedElement) -> TruncatedElement:
-    return tr_add(x, tr_neg(y))
-
-
-def tr_neg(x: TruncatedElement) -> TruncatedElement:
-    return TruncatedElement(x.field, x.ring, tuple(map(x.ring.uneg, x.parts)), x.shift)
+    x, y, s = _align(x, y)
+    return TruncatedElement(x.field, x.ring, tuple(map(x.ring.usub, x.parts, y.parts)), s)
 
 
 def tr_mul(x: TruncatedElement, y: TruncatedElement) -> TruncatedElement:
