@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import numbers
 import random
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -55,16 +57,114 @@ class SchemaError(Exception):
     pass
 
 
+def _is_integer(x) -> bool:
+    """Draft 2020-12's integer: 1.0 is one, True and 1.5 are not."""
+    if isinstance(x, float):
+        return x.is_integer()
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "integer": _is_integer,
+}
+_DRAFT = "https://json-schema.org/draft/2020-12/schema"
+_DEFS = "#/$defs/"
+
+
+def compile_schema(schema: dict):
+    """A predicate that accepts a document exactly when `schema` does under
+    draft 2020-12 (as jsonschema applies it).  It covers the keywords the
+    datum schema uses; any other keyword raises ValueError here, so an edit
+    to the schema cannot be silently ignored."""
+
+    def node(sub: dict):
+        checks = [keyword(key, value, sub) for key, value in sub.items()
+                  if key not in ("title", "$defs")]
+        return lambda x: all(check(x) for check in checks)
+
+    def keyword(key, value, sub):
+        if key == "$schema" and value == _DRAFT:
+            return lambda x: True
+        if key == "type" and value in _TYPES:
+            return _TYPES[value]
+        if key == "enum" and all(isinstance(v, str) for v in value):
+            return lambda x: isinstance(x, str) and x in value
+        if key == "minimum":
+            return lambda x: isinstance(x, bool) or not isinstance(x, numbers.Number) or not x < value
+        if key == "minItems":
+            return lambda x: not isinstance(x, list) or len(x) >= value
+        if key == "required":
+            return lambda x: not isinstance(x, dict) or all(k in x for k in value)
+        if key == "additionalProperties" and value is False:
+            allowed = set(sub.get("properties", ()))
+            return lambda x: not isinstance(x, dict) or x.keys() <= allowed
+        if key == "properties":
+            props = {k: node(v) for k, v in value.items()}
+            return lambda x: not isinstance(x, dict) or all(props[k](x[k]) for k in props if k in x)
+        if key == "items":
+            item = node(value)
+            return lambda x: not isinstance(x, list) or all(item(i) for i in x)
+        if key == "pattern":
+            search = re.compile(value).search  # unanchored, as jsonschema's re.search
+            return lambda x: not isinstance(x, str) or search(x) is not None
+        if key == "$ref" and value.startswith(_DEFS):
+            return node(schema["$defs"][value[len(_DEFS):]])
+        raise ValueError(f"compile_schema does not support {key!r}: {value!r}")
+
+    return node(schema)
+
+
+@lru_cache(maxsize=None)
+def _schema() -> dict:
+    with resources.files("thetaparam.schemas").joinpath("datum.schema.json").open() as fh:
+        return json.load(fh)
+
+
+@lru_cache(maxsize=None)
+def _accepts():
+    """The compiled datum schema, built once per process."""
+    return compile_schema(_schema())
+
+
 @lru_cache(maxsize=None)
 def _validator():
-    """The datum schema's validator, checked against its metaschema once
-    per process.  jsonschema is imported here, with the first document."""
+    """The datum schema's jsonschema validator, which words the error for a
+    rejected document.  A valid document is accepted by `_accepts` alone;
+    jsonschema is imported, and the schema checked against its metaschema,
+    only when a document is rejected."""
     from jsonschema.validators import validator_for
-    with resources.files("thetaparam.schemas").joinpath("datum.schema.json").open() as fh:
-        schema = json.load(fh)
+    schema = _schema()
     cls = validator_for(schema)
     cls.check_schema(schema)
     return cls(schema)
+
+
+def _exact_number(token: str):
+    """A number token with a fraction or an exponent.  One that denotes an
+    integer (draft 2020-12 counts 5.0 as one) becomes that exact int, so no
+    float reaches the maps or a report.  One whose float only rounds to an
+    integer (1.0000000000000000001) stays an exact Decimal, and any other
+    stays a float; the schema rejects both."""
+    value = float(token)
+    if value.is_integer():  # finite, so the int below has at most 309 digits
+        from decimal import Decimal
+        exact = Decimal(token)
+        return int(exact) if exact == exact.to_integral_value() else exact
+    return value
+
+
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
 
 
 def load_document(path: str) -> tuple[dict, str]:
@@ -75,13 +175,14 @@ def load_document(path: str) -> tuple[dict, str]:
         raise SchemaError(f"cannot read {path}: {ex}") from ex
     digest = hashlib.sha256(raw).hexdigest()
     try:
-        doc = json.loads(raw)
+        doc = json.loads(raw, parse_float=_exact_number, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as ex:  # also undecodable bytes and too deep nesting
         raise SchemaError(f"{path} is not valid JSON: {ex}") from ex
-    from jsonschema.exceptions import best_match
-    error = best_match(_validator().iter_errors(doc))  # the error jsonschema.validate raises
-    if error is not None:
-        raise SchemaError(f"{path} violates the datum schema: {error.message}")
+    if not _accepts()(doc):
+        from jsonschema.exceptions import best_match
+        error = best_match(_validator().iter_errors(doc))  # the error jsonschema.validate raises
+        if error is not None:
+            raise SchemaError(f"{path} violates the datum schema: {error.message}")
     return doc, digest
 
 

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from importlib import resources
 from pathlib import Path
 
@@ -112,14 +113,90 @@ def test_schema_error_message_matches_jsonschema_validate(tmp_path, case):
 
 
 def test_schema_is_checked_once_per_process(tmp_path, monkeypatch):
+    # a valid document never reaches jsonschema, so two rejected ones drive it
     cls = type(cli._validator())
     check_schema, calls = cls.check_schema, []
     monkeypatch.setattr(cls, "check_schema", lambda schema: calls.append(schema) or check_schema(schema))
     cli._validator.cache_clear()
-    path = write(tmp_path, DEPTH_ZERO)
-    load_document(path)
-    load_document(path)
+    path = write(tmp_path, SCHEMA_VIOLATIONS["several_errors"])
+    for _ in range(2):
+        with pytest.raises(cli.SchemaError):
+            load_document(path)
     assert len(calls) == 1
+
+
+# the first golden lift document: every integer field of the schema, gamma included
+LIFT_DOC = {
+    "base": {"p": 3, "f": 1},
+    "polarity": "symplectic",
+    "factors": [
+        {
+            "m": 3,
+            "step": "unramified",
+            "c": {"val": 3, "residue_coeffs": [0, 1, 1, 0, 0, 0], "sym": "anti"},
+            "chi0": 14,
+            "gamma": [{"r": "4", "residue_coeffs": [2, 1, 0, 2, 0, 0]}],
+        }
+    ],
+}
+
+INTEGRAL_FLOATS = {
+    "p": lambda d: d["base"].update(p=3.0),
+    "f": lambda d: d["base"].update(f=1.0),
+    "m": lambda d: d["factors"][0].update(m=3.0),
+    "val": lambda d: d["factors"][0]["c"].update(val=3.0),
+    "chi0": lambda d: d["factors"][0].update(chi0=14.0),
+    "c_residue_coeffs": lambda d: d["factors"][0]["c"]["residue_coeffs"].__setitem__(1, 1.0),
+    "gamma_residue_coeffs": lambda d: d["factors"][0]["gamma"][0]["residue_coeffs"].__setitem__(0, 2.0),
+}
+
+
+@pytest.mark.parametrize("op", ["validate", "lift", "blocks", "predict"])
+@pytest.mark.parametrize("field", sorted(INTEGRAL_FLOATS))
+def test_integral_float_token_reads_as_its_integer(tmp_path, field, op):
+    # draft 2020-12 counts 3.0 as an integer; the report must not tell the two apart
+    reports = []
+    for doc in (LIFT_DOC, _with(LIFT_DOC, INTEGRAL_FLOATS[field])):
+        out = tmp_path / "r.json"
+        code = main(["--out", str(out), op, write(tmp_path, doc)])
+        rep = json.loads(out.read_text())
+        rep.pop("input_sha256", None)
+        reports.append((code, rep))
+    assert ".0" in (tmp_path / "d.json").read_text()
+    assert reports[0] == reports[1]
+
+
+def test_number_tokens_that_denote_integers_parse_to_exact_ints():
+    tokens = ["5.0", "1e30", "-0.0", "1.5", "1e400", "1.0000000000000000001", "1e-400"]
+    assert [(v, type(v).__name__) for v in map(cli._exact_number, tokens)] == [
+        (5, "int"), (10**30, "int"), (0, "int"), (1.5, "float"), (float("inf"), "float"),
+        (Decimal("1.0000000000000000001"), "Decimal"), (Decimal("1e-400"), "Decimal"),
+    ]
+
+
+@pytest.mark.parametrize("token", ["1.0000000000000000001", "1e-400"])
+def test_number_token_that_only_rounds_to_an_integer_is_a_schema_error(tmp_path, token):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(DEPTH_ZERO).replace('"chi0": 1', f'"chi0": {token}'))
+    out = tmp_path / "r.json"
+    assert main(["--out", str(out), "lift", str(path)]) == 2
+    rep = json.loads(out.read_text())
+    assert rep["error"] == f"{path} violates the datum schema: {Decimal(token)!r} is not of type 'integer'"
+
+
+@pytest.mark.parametrize("level", ["top", "nested"])
+def test_duplicate_key_exits_two(tmp_path, level):
+    text = json.dumps(DEPTH_ZERO)
+    if level == "top":
+        text, key = text[:-1] + ', "base": {"p": 7, "f": 1}}', "base"
+    else:
+        text, key = text.replace('"f": 1}', '"f": 1, "p": 7}', 1), "p"
+    path = tmp_path / "dup.json"
+    path.write_text(text)
+    out = tmp_path / "r.json"
+    assert main(["--out", str(out), "lift", str(path)]) == 2
+    rep = json.loads(out.read_text())
+    assert (rep["kind"], rep["error"]) == ("schema", f"{path} is not valid JSON: duplicate key '{key}'")
 
 
 def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
@@ -179,6 +256,135 @@ def test_finite_verify_leaves_jsonschema_unloaded_and_validate_loads_it(tmp_path
     verify_code, after_verify, validate_code, oracle = json.loads(_python(_COLD_RUN, path, str(out)))
     assert (verify_code, after_verify, validate_code) == (0, False, 2)
     assert json.loads(out.read_text())["error"] == f"{path} violates the datum schema: {oracle}"
+
+
+_VALID_RUN = """
+import contextlib, io, json, sys
+from thetaparam import cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps([codes, "jsonschema" in sys.modules]))
+"""
+
+
+def test_valid_documents_leave_jsonschema_unloaded(tmp_path):
+    plain, witness = write(tmp_path, DEPTH_ZERO, "a.json"), write(tmp_path, WITNESS, "w.json")
+    argvs = [["validate", plain], ["lift", plain], ["equiv", plain, plain], ["transport", witness]]
+    codes, loaded = json.loads(_python(_VALID_RUN, json.dumps(argvs)))
+    assert (codes, loaded) == ([0, 0, 0, 0], False)
+
+
+GOLDEN_DOCS = sorted({
+    text
+    for line in (ROOT / "tests" / "golden" / "corpus.jsonl").read_text().splitlines()
+    for text in json.loads(line)["docs"]
+})
+_REPLACEMENTS = [True, None, 0, 1, 2, 3, -1, 1.0, 2.0, 1.5, float("nan"), float("inf"),
+                 "", "1/2", "1/2\n", "x", "fixed", "anti", "unramified", "orthogonal", [], [0], {}]
+_KEYS = ["p", "f", "m", "val", "sym", "sigma_sym", "sigma_c", "chi0", "gamma", "r", "E", "extra"]
+
+
+def _mutate(doc, rng: random.Random) -> None:
+    """Replace a value, delete a key, add a key or append an item, at a
+    random object or array of `doc`."""
+    containers, stack = [], [doc]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, (dict, list)):
+            containers.append(x)
+            stack.extend(x.values() if isinstance(x, dict) else x)
+    target = rng.choice(containers)
+    value = rng.choice(_REPLACEMENTS)
+    value = value.copy() if isinstance(value, (dict, list)) else value
+    edit = rng.randrange(3)
+    if isinstance(target, dict) and target and edit < 2:
+        key = rng.choice(sorted(target))
+        if edit:
+            target[key] = value
+        else:
+            del target[key]
+    elif isinstance(target, dict):
+        target[rng.choice(_KEYS)] = value
+    elif target and edit:
+        target[rng.randrange(len(target))] = value
+    else:
+        target.append(value)
+
+
+def test_compiled_schema_agrees_with_jsonschema_on_mutated_golden_documents():
+    accepts, validator, rng = cli._accepts(), cli._validator(), random.Random(13)
+    verdicts, disagreements = set(), []
+    for k in range(3000):
+        doc = json.loads(GOLDEN_DOCS[k % len(GOLDEN_DOCS)])
+        _mutate(doc, rng)
+        verdict = validator.is_valid(doc)
+        verdicts.add(verdict)
+        if accepts(doc) != verdict:
+            disagreements.append(doc)
+    assert disagreements == []
+    assert verdicts == {True, False}
+
+
+def _set(path, value):
+    def edit(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+_C, _GAMMA = ("factors", 0, "c"), ("factors", 0, "gamma", 0)
+PINNED = {
+    "integer_1.0": (DEPTH_ZERO, _set((*_C, "val"), 1.0), True),
+    "integer_true": (DEPTH_ZERO, _set((*_C, "val"), True), False),
+    "integer_1.5": (DEPTH_ZERO, _set((*_C, "val"), 1.5), False),
+    "integer_nan": (DEPTH_ZERO, _set((*_C, "val"), float("nan")), False),
+    "integer_1e400": (DEPTH_ZERO, _set((*_C, "val"), json.loads("1e400")), False),
+    "integer_decimal": (DEPTH_ZERO, _set((*_C, "val"), Decimal("1e-400")), False),
+    "minimum_decimal": (DEPTH_ZERO, _set(("base", "p"), Decimal("2.5")), False),
+    "polarity_true": (DEPTH_ZERO, _set(("polarity",), True), False),
+    "r_trailing_newline": (WITNESS, _set((*_GAMMA, "r"), "1/2\n"), True),
+    "p_2": (DEPTH_ZERO, _set(("base", "p"), 2), False),
+    "p_2.0": (DEPTH_ZERO, _set(("base", "p"), 2.0), False),
+    "extra_key_top": (WITNESS, _set(("extra",), 0), False),
+    "extra_key_base": (WITNESS, _set(("base", "extra"), 0), False),
+    "extra_key_factor": (WITNESS, _set(("factors", 0, "extra"), 0), False),
+    "extra_key_c": (WITNESS, _set((*_C, "extra"), 0), False),
+    "extra_key_gamma": (WITNESS, _set((*_GAMMA, "extra"), 0), False),
+    "extra_key_distinction": (WITNESS, _set(("distinction", "extra"), 0), False),
+    "extra_key_f_structure": (WITNESS, _set(("distinction", "F_structure", 0, "extra"), 0), False),
+    # c is a $ref into $defs: its rules are followed there
+    "ref_sym_missing": (DEPTH_ZERO, lambda d: d["factors"][0]["c"].pop("sym"), False),
+    "ref_empty_residue_coeffs": (DEPTH_ZERO, _set((*_C, "residue_coeffs"), []), False),
+    "ref_sigma_sym": (DEPTH_ZERO, _set((*_C, "sigma_sym"), "fixed"), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_compiled_schema_pinned_cases(case):
+    base, edit, expected = PINNED[case]
+    doc = _with(base, edit)
+    assert cli._accepts()(doc) is expected
+    assert cli._validator().is_valid(doc) is expected
+
+
+@pytest.mark.parametrize("schema", [
+    {"maxItems": 1},
+    {"additionalProperties": {}},
+    {"$ref": "other.json#/$defs/leading_term"},
+    {"$schema": "http://json-schema.org/draft-04/schema#"},
+])
+def test_compile_schema_raises_on_what_it_does_not_cover(schema):
+    with pytest.raises(ValueError, match="does not support"):
+        cli.compile_schema(schema)
+
+
+def test_shipped_schema_passes_its_metaschema():
+    schema = cli._schema()
+    jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
 _TRACED_RUN = """
