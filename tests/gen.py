@@ -1,13 +1,14 @@
 """Seeded random generators for datum sweeps.
 
 Residue fields are capped at the default size bound, which at p = 7 caps
-the unramified layer at m = 3 (F_{7^8} would exceed it).
+the unramified layer at m = 3 (F_{7^8} would exceed it) and over a base
+field of degree f0 = 2 at p = 5 caps it at m = 2 (F_{5^8}).
 """
 
 import random
 from fractions import Fraction
 
-from thetaparam.finitefield import fq_canonical_nonsquare, fq_embedding, fq_sqrt
+from thetaparam.finitefield import SIZE_BOUND, fq_canonical_nonsquare, fq_embedding, fq_sqrt
 from thetaparam.localfield import (
     STEP_RAMIFIED,
     STEP_UNRAMIFIED,
@@ -28,8 +29,13 @@ from thetaparam.torusdata import (
 )
 
 
-def max_part(p: int) -> int:
-    return 3 if p == 7 else 4
+def max_part(p: int, f0: int = 1) -> int:
+    """The largest m <= 4 whose unramified step, of residue field
+    F_{p^(2 f0 m)}, stays within the size bound."""
+    m = 4
+    while p ** (2 * f0 * m) > SIZE_BOUND:
+        m -= 1
+    return m
 
 
 def random_partition(n: int, cap: int, rng: random.Random):
@@ -135,9 +141,11 @@ def random_mixed_datum(p: int, rng: random.Random, n_max: int = 4) -> TorusDatum
     raise RuntimeError("could not draw a valid mixed datum")
 
 
-def random_orthogonal_datum(p: int, rng: random.Random, n_max: int = 4) -> TorusDatum:
-    base = base_field(p)
-    parts = random_partition(rng.randint(1, n_max), max_part(p), rng)
+def random_orthogonal_datum(p: int, rng: random.Random, n_max: int = 4, f0: int = 1) -> TorusDatum:
+    """Orthogonal datum over the base field of degree f0 over Q_p, each
+    factor's step drawn from both kinds."""
+    base = base_field(p, f0)
+    parts = random_partition(rng.randint(1, n_max), max_part(p, f0), rng)
     factors = []
     for m in parts:
         step = rng.choice([STEP_UNRAMIFIED, STEP_RAMIFIED])

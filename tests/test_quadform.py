@@ -315,3 +315,18 @@ def test_gram_exhaustion_reports_the_last_precision_tried(monkeypatch):
     with pytest.raises(PrecisionExhausted, match=rf"failed up to precision {start * 16}$"):
         invariants_via_gram(d)
     assert tried == [start * 2**k for k in range(5)]
+
+
+@pytest.mark.parametrize("f0", [2, 3])
+def test_transfer_and_gram_routes_agree_over_a_base_of_degree_f0(f0):
+    """Over F of degree f0 > 1 the F-coordinates of a Gram entry are more
+    than its constant coefficient: both routes agree on seeded data that
+    use both steps."""
+    rng = random.Random(40 + f0)
+    steps = set()
+    for i in range(60):
+        d = gen.random_orthogonal_datum((3, 5, 7)[i % 3], rng, 3, f0)
+        assert d.base.base_f == f0
+        steps.update(f.step for f in d.factors)
+        assert invariants_of_orthogonal_datum(d) == invariants_via_gram(d)
+    assert steps == {STEP_RAMIFIED, STEP_UNRAMIFIED}
