@@ -440,7 +440,7 @@ class FqEmbedding:
             cols.append(power.coeffs)
             power = power * self.image_of_generator
         rows = [[col[i] for col in cols] + [int(i == k) for k in range(b)] for i in range(b)]
-        aug, pivots = _row_reduce_mod_p(rows, self.source.p, a)
+        aug, pivots = _row_reduce(rows, self.source.p, a)
         return [row[a:] for row in aug], pivots
 
     def pullback(self, y: FqElement) -> FqElement:
@@ -458,23 +458,25 @@ class FqEmbedding:
         return self.source.element(sol)
 
 
-def _row_reduce_mod_p(rows, p, ncols):
-    """Reduced row echelon form over F_p, pivoting in the first ncols
-    columns; returns the reduced rows and {pivot column: row index}."""
-    aug = [[v % p for v in row] for row in rows]
+def _row_reduce(rows, p, ncols, n=None):
+    """Reduced row echelon form over Z/n for n a power of p (p by default),
+    pivoting on units in the first ncols columns; returns the reduced rows
+    and {pivot column: row index}."""
+    n = n or p
+    aug = [[v % n for v in row] for row in rows]
     pivots = {}
     for col in range(ncols):
         top = len(pivots)
-        piv = next((r for r in range(top, len(aug)) if aug[r][col]), None)
+        piv = next((r for r in range(top, len(aug)) if aug[r][col] % p), None)
         if piv is None:
             continue
         aug[top], aug[piv] = aug[piv], aug[top]
-        inv = pow(aug[top][col], p - 2, p)
-        aug[top] = [(v * inv) % p for v in aug[top]]
+        inv = pow(aug[top][col], -1, n)
+        aug[top] = [(v * inv) % n for v in aug[top]]
         for r in range(len(aug)):
             if r != top and aug[r][col]:
                 factor = aug[r][col]
-                aug[r] = [(v - factor * w) % p for v, w in zip(aug[r], aug[top])]
+                aug[r] = [(v - factor * w) % n for v, w in zip(aug[r], aug[top])]
         pivots[col] = top
     return aug, pivots
 
@@ -501,7 +503,7 @@ def fq_embedding(source: FqDescriptor, target: FqDescriptor) -> FqEmbedding:
         shifted[k] = (shifted[k] - 1) % p
         cols.append(shifted)
         power = power * xp
-    aug, pivots = _row_reduce_mod_p([[cols[j][i] for j in range(b)] for i in range(b)], p, b)
+    aug, pivots = _row_reduce([[cols[j][i] for j in range(b)] for i in range(b)], p, b)
     kernel = []
     for free in (c for c in range(b) if c not in pivots):
         vec = [0] * b

@@ -31,6 +31,7 @@ from .finitefield import (
     FqElement,
     _mulmod,
     _powmod,
+    _row_reduce,
     fq_canonical_nonsquare,
     fq_embedding,
     fq_is_square,
@@ -385,11 +386,8 @@ class TruncatedRing:
             return (pow(a[0], -1, self.pN),) + a[1:]
         y = tuple(int(c) for c in self.k.element(a).inverse().coeffs)
         prec = 1
-        while prec < self.prec:
-            # y <- y(2 - a y), doubling correct digits
-            ay = self.umul(a, y)
-            two_minus = self.usub(self.uscale(self.uone(), 2), ay)
-            y = self.umul(y, two_minus)
+        while prec < self.prec:  # y <- y(2 - a y), doubling correct digits
+            y = self.umul(y, self.usub(self.uscale(self.uone(), 2), self.umul(a, y)))
             prec *= 2
         return y
 
@@ -399,6 +397,17 @@ class TruncatedRing:
             acc = self.umul(acc, at)
             acc = self.uadd(acc, self.uscale(self.uone(), c))
         return acc
+
+    def hensel_root(self, poly, r):
+        """The root of the integer polynomial poly congruent to r mod p, for
+        a simple root mod p, by Newton iteration."""
+        fprime = [(i * poly[i]) % self.pN for i in range(1, len(poly))]
+        digits = 1
+        while digits < self.prec:  # each step doubles the correct digits
+            fr, fpr = self._eval_int_poly(poly, r), self._eval_int_poly(fprime, r)
+            r = self.usub(r, self.umul(fr, self.uinv(fpr)))
+            digits *= 2
+        return r
 
     def automorphism_images(self, j: int) -> list[tuple[int, ...]]:
         """Images of the power basis under the Frobenius lift x -> x^{p^j}.
@@ -413,14 +422,7 @@ class TruncatedRing:
             return self._auto_cache[j]
         r = tuple([0, 1] + [0] * (self.d - 2)) if self.d > 1 else (0,)
         if j == 1:
-            r = _powmod(r, self.p, self.modulus, self.pN)
-            fprime = [(i * self.modulus[i]) % self.pN for i in range(1, self.d + 1)]
-            digits = 1
-            while digits < self.prec:  # each step doubles the correct digits
-                fr = self._eval_int_poly(self.modulus, r)
-                fpr = self._eval_int_poly(fprime, r)
-                r = self.usub(r, self.umul(fr, self.uinv(fpr)))
-                digits *= 2
+            r = self.hensel_root(self.modulus, _powmod(r, self.p, self.modulus, self.pN))
         elif j > 1:
             r = self.automorphism_sum(self.automorphism_images(j - 1)[1], (1,))
         assert not any(self._eval_int_poly(self.modulus, r))
@@ -452,6 +454,31 @@ def _make_ring(p: int, d: int, e: int, prec: int) -> TruncatedRing:
 
 def ring_for(field: TameFieldDescriptor, prec: int) -> TruncatedRing:
     return _make_ring(field.base_p, field.base_f * field.f, field.e, prec)
+
+
+@lru_cache(maxsize=None)
+def base_coordinates(field: TameFieldDescriptor, prec: int):
+    """(theta, pullback) on L's unramified ring at prec: theta is the root of
+    F's modulus lifting the residue embedding k_F -> k_L, pullback(u) the w
+    with u = sum_l w_l theta^l (DomainError off F).  Keyed by the field:
+    (f0, f) = (1, 2) and (2, 1) share one ring but not F."""
+    ring = ring_for(field, prec)
+    f0, pN = field.base_f, ring.pN
+    k_f = fq_make(field.base_p, f0)
+    start = fq_embedding(k_f, field.residue_field()).image_of_generator
+    theta = ring.hensel_root(k_f.modulus, start.coeffs)
+    powers = [_powmod(theta, l, ring.modulus, pN) for l in range(f0)]
+    # theta's powers are independent mod p: each column has a unit pivot
+    rows = [[u[i] for u in powers] + [int(i == k) for k in range(ring.d)] for i in range(ring.d)]
+    ops = [row[f0:] for row in _row_reduce(rows, ring.p, f0, pN)[0]]
+
+    def pullback(u) -> tuple:
+        z = [sum([o * c for o, c in zip(row, u)]) % pN for row in ops]
+        if any(z[f0:]):
+            raise DomainError("element does not lie in the base field")
+        return tuple(z[:f0])
+
+    return theta, pullback
 
 
 def _valp_int(c: int, p: int, cap: int) -> int:

@@ -10,8 +10,8 @@ orthogonal torus datum:
     unramified layer L0/F of the binary form <2c, -2c*Delta> over L0,
     whose invariants follow from exact residue formulas;
   * a Gram route: the matrix of the form in the integral tower basis is
-    computed in the truncated model and diagonalized with precision
-    tracking.
+    computed over F in the truncated model, from a cached trace-form
+    tensor, and diagonalized in F's ring with precision tracking.
 
 Their agreement on random data is an acceptance gate of the package.
 """
@@ -19,9 +19,10 @@ Their agreement on random data is an acceptance gate of the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DomainError
-from .finitefield import fq_canonical_nonsquare, fq_embedding, fq_is_square, fq_make
+from .finitefield import _powmod, fq_canonical_nonsquare, fq_embedding, fq_is_square
 from .localfield import (
     SQ_ONE,
     STEP_UNRAMIFIED,
@@ -31,6 +32,9 @@ from .localfield import (
     PrecisionExhausted,
     SquareClass,
     TameFieldDescriptor,
+    _normalized,
+    base_coordinates,
+    base_field,
     flag_consistent,
     minus_one_class,
     ring_for,
@@ -41,7 +45,6 @@ from .localfield import (
     tr_lift,
     tr_mul,
     tr_sub,
-    tr_trace_to_base,
     TruncatedElement,
 )
 
@@ -227,31 +230,47 @@ def witt_equal(a: QuadInvariants, b: QuadInvariants) -> bool:
 # Gram oracle route
 
 
-def _tower_basis(field: TameFieldDescriptor, ring):
-    """Integral F-basis of L: power basis of the unramified layer, times
-    t^k for k < e."""
-    d = ring.d
-    gen = tuple([0, 1] + [0] * (d - 2)) if d > 1 else (0,)
-    powers = [ring.uone()]
-    for _ in range(field.f - 1):  # [unramified layer : F] = residue degree f
-        powers.append(ring.umul(powers[-1], gen))
-    return [
-        TruncatedElement(field, ring, ring.parts(u, k), 0) for k in range(ring.e) for u in powers
-    ]
+@lru_cache(maxsize=None)
+def _trace_form_tensor(field: TameFieldDescriptor, prec: int):
+    """Entry (i, j), i <= j, of the trace form over the tower basis
+    b = x^a t^k (a < f, k < e): the Z_p-linear map C -> F-coordinates of
+    Tr_{L/F}(C b_i conj(b_j)), f0 rows of d*e ints mod p^N over the Z_p basis
+    x^a t^k of L (the order of the flattened parts).  Row r at x^a t^k is
+    p^k sum_a' h[r][a + a'] y_k[a'] for y = b_i conj(b_j), h[r][s] being
+    coordinate r of Tr_{L/F}(x^s): t^2 = p, and t-parts trace to 0."""
+    ring = ring_for(field, prec)
+    d, e, f, pN = ring.d, ring.e, field.f, ring.pN
+    x = tuple([0, 1] + [0] * (d - 2)) if d > 1 else (0,)
+    powers = [_powmod(x, s, ring.modulus, pN) for s in range(2 * d - 1)]
+    js = tuple(range(0, d, field.base_f))  # the automorphisms fixing F
+    to_f = base_coordinates(field, prec)[1]
+    h = list(zip(*[to_f(ring.uscale(ring.automorphism_sum(u, js), e)) for u in powers]))
+    basis = [TruncatedElement(field, ring, ring.parts(u, k)) for k in range(e) for u in powers[:f]]
+    tensor = {}
+    for i, b_i in enumerate(basis):
+        for j in range(i, len(basis)):
+            y = tr_mul(b_i, tr_conj(basis[j])).parts
+            y = [ring.uscale(yk, ring.p**k) for k, yk in enumerate(y)]
+            tensor[i, j] = tuple(
+                tuple([sum([u * v for u, v in zip(hr[a:], yk)]) % pN for yk in y for a in range(d)])
+                for hr in h
+            )
+    return tensor
 
 
 def _gram_matrix(factor, prec: int):
+    """The trace form over F in the tower basis: entries in F's ring, each
+    row of the cached tensor dotted with c's flattened parts."""
     field = factor.c.field
-    ring = ring_for(field, prec)
+    base = base_field(field.base_p, field.base_f)
+    ring = ring_for(base, prec)
     c = tr_lift(factor.c, prec)
-    basis = _tower_basis(field, ring)
-    n = len(basis)
+    flat = [v for u in c.parts for v in u]
+    n = field.f * field.e
     gram = [[None] * n for _ in range(n)]
-    conj_basis = [tr_conj(e) for e in basis]
-    for i in range(n):
-        c_i = tr_mul(c, basis[i])
-        for j in range(i, n):
-            gram[i][j] = gram[j][i] = tr_trace_to_base(tr_mul(c_i, conj_basis[j]))
+    for (i, j), rows in _trace_form_tensor(field, prec).items():
+        coords = tuple([sum([u * v for u, v in zip(row, flat)]) % ring.pN for row in rows])
+        gram[i][j] = gram[j][i] = _normalized(TruncatedElement(base, ring, (coords,), c.shift))
     return gram
 
 
@@ -323,25 +342,11 @@ def invariants_via_gram(datum) -> QuadInvariants:
                 if factor.c.sym != SYM_FIXED:
                     raise SymmetryFlagViolation("orthogonal data need sigma-fixed c")
                 diag = _diagonalize_symmetric(_gram_matrix(factor, prec))
-                for entry in diag:
-                    classes.append(_f_square_class(entry, datum.base))
+                classes += (square_class(entry.leading_term()) for entry in diag)
             return _finish(*diagonal_invariants(classes, q), q)
         except PrecisionExhausted:
             pass
     raise PrecisionExhausted(f"Gram diagonalization failed up to precision {prec}")
-
-
-def _f_square_class(entry: TruncatedElement, base: TameFieldDescriptor) -> SquareClass:
-    """Square class over F of a diagonal entry that lies in F inside L."""
-    lt = entry.leading_term()
-    e = entry.field.e
-    if lt.val % e != 0:
-        raise DomainError("diagonal entry does not lie in the base field")
-    v_f = lt.val // e
-    k_f = fq_make(base.base_p, base.base_f)
-    k_l = entry.field.residue_field()
-    res = lt.residue if k_l == k_f else fq_embedding(k_f, k_l).pullback(lt.residue)
-    return SquareClass(v_f % 2, 0 if fq_is_square(res) else 1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from thetaparam.finitefield import fq_make
+from thetaparam.errors import DomainError
+from thetaparam.finitefield import fq_embedding, fq_make
 from thetaparam.localfield import (
     STEP_RAMIFIED,
     STEP_UNRAMIFIED,
@@ -41,6 +42,7 @@ from thetaparam.localfield import (
     tr_trace_to_base,
     TruncatedElement,
     _make_ring,
+    base_coordinates,
 )
 
 import gen
@@ -423,3 +425,34 @@ def test_frobenius_images_are_the_hensel_roots_and_sum_to_the_trace():
             for j in range(d):
                 by_sum = ring.uadd(by_sum, ring.automorphism_sum(a, (j,)))
             assert ring.automorphism_sum(a, tuple(range(d))) == by_sum
+
+
+@pytest.mark.parametrize("f0", [1, 2, 3])
+def test_base_coordinates_lift_the_residue_embedding_and_invert_on_f(f0):
+    """theta is a root of F's modulus mod p^N lifting the residue embedding
+    k_F -> k_L; pullback inverts w -> sum_l w_l theta^l and rejects x, which
+    lies outside F once f > 1."""
+    rng = random.Random(f0)
+    base = base_field(3, f0)
+    k_f = fq_make(3, f0)
+    for m, step in [(1, STEP_UNRAMIFIED), (1, STEP_RAMIFIED), (2, STEP_RAMIFIED)]:
+        field = factor_field(base, m, step)
+        k_l = field.residue_field()
+        for prec in (1, 2, 5, 16):
+            ring = ring_for(field, prec)
+            theta, pullback = base_coordinates(field, prec)
+            acc = ring.uzero()
+            for c in reversed(k_f.modulus):
+                acc = ring.uadd(ring.umul(acc, theta), ring.uscale(ring.uone(), c))
+            assert not any(acc)
+            assert k_l.element(theta) == fq_embedding(k_f, k_l).image_of_generator
+            for _ in range(10):
+                w = tuple(rng.randrange(ring.pN) for _ in range(f0))
+                u, power = ring.uzero(), ring.uone()
+                for w_l in w:
+                    u = ring.uadd(u, ring.uscale(power, w_l))
+                    power = ring.umul(power, theta)
+                assert pullback(u) == w
+            if field.f > 1:
+                with pytest.raises(DomainError, match="does not lie in the base field"):
+                    pullback(tuple([0, 1] + [0] * (ring.d - 2)))
