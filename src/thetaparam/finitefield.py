@@ -13,10 +13,10 @@ generators of norm-one subgroups of quadratic extensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import DomainError
+from .value import Value, set_field
 
 SIZE_BOUND = 10**6  # largest field order fq_make builds
 
@@ -175,13 +175,15 @@ def _is_irreducible(modulus, p):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FqDescriptor:
+class FqDescriptor(Value):
     """A finite field F_{p^f} with its deterministic defining modulus."""
 
-    p: int
-    f: int
-    modulus: tuple  # monic, length f+1, constant coefficient first
+    __slots__ = _fields = ("p", "f", "modulus")
+
+    def __init__(self, p: int, f: int, modulus: tuple):
+        set_field(self, "p", p)
+        set_field(self, "f", f)
+        set_field(self, "modulus", modulus)  # monic, length f+1, constant coefficient first
 
     @property
     def order(self) -> int:
@@ -234,13 +236,13 @@ def fq_make(p: int, f: int) -> FqDescriptor:
     raise DegreeTooLarge("no irreducible modulus found")  # unreachable
 
 
-@dataclass(frozen=True)
-class FqElement:
-    field: FqDescriptor
-    coeffs: tuple
+class FqElement(Value):
+    __slots__ = _fields = ("field", "coeffs")
 
-    def __post_init__(self):
-        assert len(self.coeffs) == self.field.f
+    def __init__(self, field: FqDescriptor, coeffs: tuple):
+        assert len(coeffs) == field.f
+        set_field(self, "field", field)
+        set_field(self, "coeffs", coeffs)
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -415,13 +417,17 @@ def _evaluate(coeffs, x: FqElement) -> FqElement:
     return acc
 
 
-@dataclass(frozen=True)
-class FqEmbedding:
-    """A ring embedding F_{p^a} -> F_{p^b} (a | b), via the image of x."""
+class FqEmbedding(Value):
+    """A ring embedding F_{p^a} -> F_{p^b} (a | b), via the image of x.
 
-    source: FqDescriptor
-    target: FqDescriptor
-    image_of_generator: FqElement
+    Instances keep a __dict__, where cached_property stores the solver."""
+
+    _fields = ("source", "target", "image_of_generator")
+
+    def __init__(self, source: FqDescriptor, target: FqDescriptor, image_of_generator: FqElement):
+        set_field(self, "source", source)
+        set_field(self, "target", target)
+        set_field(self, "image_of_generator", image_of_generator)
 
     def apply(self, x: FqElement) -> FqElement:
         if x.field != self.source:

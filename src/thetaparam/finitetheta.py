@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import cmath
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError
 from .finitefield import fq_make, fq_multiplicative_generator, fq_norm1_generator
+from .value import Record, Value, set_field
 
 
 class NormalizationFailure(DomainError):
@@ -101,14 +101,16 @@ class MatrixGroup:
 # the two binary quadratic spaces and their isometry groups
 
 
-@dataclass(frozen=True)
-class BinarySpace:
+class BinarySpace(Value):
     """V = F_q^2 with Q hyperbolic (variant '+') or the field norm form
     of F_{q^2} in the deterministic modulus basis (variant '-')."""
 
-    q: int
-    variant: str
-    gram: tuple  # matrix of the polar form B(u, v) = Q(u+v) - Q(u) - Q(v)
+    __slots__ = _fields = ("q", "variant", "gram")
+
+    def __init__(self, q: int, variant: str, gram: tuple):
+        set_field(self, "q", q)
+        set_field(self, "variant", variant)
+        set_field(self, "gram", gram)  # matrix of the polar form B(u, v) = Q(u+v) - Q(u) - Q(v)
 
     def quad(self, v) -> int:
         if self.variant == "+":
@@ -145,16 +147,30 @@ def _binary_space(q: int, variant: str) -> BinarySpace:
     return BinarySpace(q, "-", gram)
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteDualPair:
-    """SL2(q) paired with the isometry group of one binary quadratic space."""
+class FiniteDualPair(Value):
+    """SL2(q) paired with the isometry group of one binary quadratic space.
+    Equal only to itself."""
 
-    q: int
-    variant: str
-    space: BinarySpace
-    sl2: MatrixGroup
-    o2: MatrixGroup
-    rotations: np.ndarray  # indices into o2, in the order of powers of the norm-one generator
+    __slots__ = _fields = ("q", "variant", "space", "sl2", "o2", "rotations")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        q: int,
+        variant: str,
+        space: BinarySpace,
+        sl2: MatrixGroup,
+        o2: MatrixGroup,
+        rotations: np.ndarray,
+    ):
+        set_field(self, "q", q)
+        set_field(self, "variant", variant)
+        set_field(self, "space", space)
+        set_field(self, "sl2", sl2)
+        set_field(self, "o2", o2)
+        # indices into o2, in the order of powers of the norm-one generator
+        set_field(self, "rotations", rotations)
 
     @property
     def rotation_order(self) -> int:
@@ -223,8 +239,7 @@ def dual_pair(q: int, variant: str) -> FiniteDualPair:
 # oscillator representation
 
 
-@dataclass
-class RepMatrixSet:
+class RepMatrixSet(Record):
     """The oscillator representation on functions on V, with every array in
     the element order of pair.sl2 and pair.o2.
 
@@ -235,10 +250,13 @@ class RepMatrixSet:
     are conjugate in the dihedral group O(V).
     """
 
-    pair: FiniteDualPair
-    sp: np.ndarray  # (|SL2|, d, d) complex
-    perm: np.ndarray  # (|O|, d) int
-    traces: np.ndarray  # (|SL2|, |O|) complex
+    __slots__ = _fields = ("pair", "sp", "perm", "traces")
+
+    def __init__(self, pair: FiniteDualPair, sp: np.ndarray, perm: np.ndarray, traces: np.ndarray):
+        self.pair = pair
+        self.sp = sp  # (|SL2|, d, d) complex
+        self.perm = perm  # (|O|, d) int
+        self.traces = traces  # (|SL2|, |O|) complex
 
 
 def _scalar_of(mat, dim) -> complex:
@@ -323,14 +341,16 @@ def build_weil_rep(q: int, variant: str) -> RepMatrixSet:
 # class functions
 
 
-@dataclass
-class ClassFunction:
+class ClassFunction(Record):
     """A class function given by its values on the elements of a group, in
     their order."""
 
-    group: MatrixGroup
-    values: np.ndarray  # complex
-    label: str
+    __slots__ = _fields = ("group", "values", "label")
+
+    def __init__(self, group: MatrixGroup, values: np.ndarray, label: str):
+        self.group = group
+        self.values = values  # complex
+        self.label = label
 
     def degree(self) -> complex:
         return self.values[self.group.identity]

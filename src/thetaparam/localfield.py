@@ -22,7 +22,6 @@ against the exact leading-term routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .errors import DomainError
@@ -38,6 +37,7 @@ from .finitefield import (
     fq_make,
     fq_sqrt,
 )
+from .value import Value, set_field
 
 SYM_FIXED = "fixed"
 SYM_ANTI = "anti"
@@ -70,8 +70,7 @@ def sym_compose(a: str, b: str) -> str:
 # field descriptors
 
 
-@dataclass(frozen=True)
-class TameFieldDescriptor:
+class TameFieldDescriptor(Value):
     """A tame tower L over the base field F (p odd, p does not divide e).
 
     base_p, base_f describe F (unramified over Q_p of residue degree base_f).
@@ -79,21 +78,22 @@ class TameFieldDescriptor:
     optional step marker records the relative quadratic step L/L0.
     """
 
-    base_p: int
-    base_f: int
-    f: int
-    e: int
-    step: str | None = None
+    __slots__ = _fields = ("base_p", "base_f", "f", "e", "step")
 
-    def __post_init__(self):
-        if self.e not in (1, 2):
+    def __init__(self, base_p: int, base_f: int, f: int, e: int, step: str | None = None):
+        if e not in (1, 2):
             raise DomainError("ramification index must be 1 or 2")
-        if self.base_p % 2 == 0:
+        if base_p % 2 == 0:
             raise DomainError("p must be odd")
-        if self.step == STEP_UNRAMIFIED and self.f % 2 != 0:
+        if step == STEP_UNRAMIFIED and f % 2 != 0:
             raise DomainError("unramified step needs even residue degree")
-        if self.step == STEP_RAMIFIED and self.e != 2:
+        if step == STEP_RAMIFIED and e != 2:
             raise DomainError("ramified step needs e = 2")
+        set_field(self, "base_p", base_p)
+        set_field(self, "base_f", base_f)
+        set_field(self, "f", f)
+        set_field(self, "e", e)
+        set_field(self, "step", step)
 
     @property
     def q_base(self) -> int:
@@ -147,8 +147,7 @@ def factor_field(base: TameFieldDescriptor, m: int, step: str) -> TameFieldDescr
 # leading terms
 
 
-@dataclass(frozen=True)
-class LeadingTerm:
+class LeadingTerm(Value):
     """An element class of L^x/(1 + m_L): valuation, angular residue, flags.
 
     val is L-normalized (val_L(L^x) = Z).  sym declares behavior under the
@@ -156,20 +155,32 @@ class LeadingTerm:
     behavior under an unramified base involution (used in distinction mode).
     """
 
-    field: TameFieldDescriptor
-    val: int
-    residue: FqElement
-    sym: str = SYM_NONE
-    sigma_sym: str = SYM_NONE
+    __slots__ = _fields = ("field", "val", "residue", "sym", "sigma_sym")
 
-    def __post_init__(self):
-        if self.residue.is_zero():
+    def __init__(
+        self,
+        field: TameFieldDescriptor,
+        val: int,
+        residue: FqElement,
+        sym: str = SYM_NONE,
+        sigma_sym: str = SYM_NONE,
+    ):
+        if residue.is_zero():
             raise DomainError("leading term needs a nonzero residue")
-        if self.residue.field != self.field.residue_field():
+        if residue.field != field.residue_field():
             raise FieldMismatch("residue lives in the wrong field")
+        set_field(self, "field", field)
+        set_field(self, "val", val)
+        set_field(self, "residue", residue)
+        set_field(self, "sym", sym)
+        set_field(self, "sigma_sym", sigma_sym)
 
     def with_sym(self, sym: str, sigma_sym: str | None = None) -> "LeadingTerm":
-        return replace(self, sym=sym, sigma_sym=self.sigma_sym if sigma_sym is None else sigma_sym)
+        sigma_sym = self.sigma_sym if sigma_sym is None else sigma_sym
+        return LeadingTerm(self.field, self.val, self.residue, sym, sigma_sym)
+
+    def with_residue(self, residue: FqElement) -> "LeadingTerm":
+        return LeadingTerm(self.field, self.val, residue, self.sym, self.sigma_sym)
 
     def __repr__(self):
         tags = self.sym + ("" if self.sigma_sym == SYM_NONE else f"/s:{self.sigma_sym}")
@@ -198,11 +209,11 @@ def lt_mul(a: LeadingTerm, b: LeadingTerm) -> LeadingTerm:
 
 def lt_neg(a: LeadingTerm) -> LeadingTerm:
     # negation commutes with both involutions, so the flags survive
-    return replace(a, residue=-a.residue)
+    return a.with_residue(-a.residue)
 
 
 def lt_inv(a: LeadingTerm) -> LeadingTerm:
-    return replace(a, val=-a.val, residue=a.residue.inverse())
+    return LeadingTerm(a.field, -a.val, a.residue.inverse(), a.sym, a.sigma_sym)
 
 
 def relative_conjugate(a: LeadingTerm) -> LeadingTerm:
@@ -216,9 +227,8 @@ def relative_conjugate(a: LeadingTerm) -> LeadingTerm:
     field = a.field
     field._need_step()
     if field.step == STEP_UNRAMIFIED:
-        return replace(a, residue=a.residue ** field.relative_residue_size)
-    res = a.residue if a.val % 2 == 0 else -a.residue
-    return replace(a, residue=res)
+        return a.with_residue(a.residue ** field.relative_residue_size)
+    return a if a.val % 2 == 0 else a.with_residue(-a.residue)
 
 
 def residue_sym_ok(residue: FqElement, power: int, sym: str) -> bool:
@@ -261,12 +271,14 @@ def is_norm(x: LeadingTerm) -> bool:
     return fq_is_square(corrected)
 
 
-@dataclass(frozen=True)
-class SquareClass:
+class SquareClass(Value):
     """An element of F^x / (F^x)^2 = {1, u, pi, u*pi} for p odd."""
 
-    pi: int  # valuation parity
-    ns: int  # 1 iff the unit part is a non-square
+    __slots__ = _fields = ("pi", "ns")
+
+    def __init__(self, pi: int, ns: int):
+        set_field(self, "pi", pi)  # valuation parity
+        set_field(self, "ns", ns)  # 1 iff the unit part is a non-square
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
         return SquareClass((self.pi + other.pi) % 2, (self.ns + other.ns) % 2)
@@ -491,20 +503,22 @@ def _valp_int(c: int, p: int, cap: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class TruncatedElement:
+class TruncatedElement(Value):
     """(parts[0] + parts[1] t + ... + parts[e-1] t^(e-1)) / p^shift.
 
     Each part is a length-d coefficient tuple in the unramified ring mod p^N,
     and t is the canonical uniformizer: t^2 = p when e = 2.  The digit
     expansion (a strictly increasing list of (valuation, residue) pairs) is
-    exposed as a derived view.
+    exposed as a derived view.  Instances keep a __dict__ for the valuation.
     """
 
-    field: TameFieldDescriptor
-    ring: TruncatedRing
-    parts: tuple
-    shift: int = 0
+    _fields = ("field", "ring", "parts", "shift")
+
+    def __init__(self, field: TameFieldDescriptor, ring: TruncatedRing, parts: tuple, shift: int = 0):
+        set_field(self, "field", field)
+        set_field(self, "ring", ring)
+        set_field(self, "parts", parts)
+        set_field(self, "shift", shift)
 
     @property
     def precision(self) -> int:

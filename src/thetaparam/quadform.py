@@ -18,7 +18,6 @@ Their agreement on random data is an acceptance gate of the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError
@@ -47,19 +46,22 @@ from .localfield import (
     tr_sub,
     TruncatedElement,
 )
+from .value import Value, set_field
 
 
 class SymmetryFlagViolation(DomainError):
     pass
 
 
-@dataclass(frozen=True)
-class QuadInvariants:
+class QuadInvariants(Value):
     """dim (even), normalized discriminant class, Hasse invariant."""
 
-    dim: int
-    disc: SquareClass
-    hasse: int
+    __slots__ = _fields = ("dim", "disc", "hasse")
+
+    def __init__(self, dim: int, disc: SquareClass, hasse: int):
+        set_field(self, "dim", dim)
+        set_field(self, "disc", disc)
+        set_field(self, "hasse", hasse)
 
     def det_class(self, q: int) -> SquareClass:
         """Underlying det(Gram) class: disc times the class of (-1)^{dim/2}."""
@@ -71,10 +73,13 @@ class QuadInvariants:
         return {"dim": self.dim, "disc": self.disc.label, "hasse": self.hasse}
 
 
-@dataclass(frozen=True)
-class SOType:
-    label: str  # split | nonsplit_inner | quasi_split_unramified | quasi_split_ramified
-    hasse: int
+class SOType(Value):
+    __slots__ = _fields = ("label", "hasse")
+
+    def __init__(self, label: str, hasse: int):
+        # label: split | nonsplit_inner | quasi_split_unramified | quasi_split_ramified
+        set_field(self, "label", label)
+        set_field(self, "hasse", hasse)
 
     def as_dict(self):
         return {"label": self.label, "hasse": self.hasse}
@@ -182,17 +187,21 @@ def _transfer_one(v: int, r, m: int, q: int):
     return m, SquareClass(m % 2, det_unit.ns), hasse
 
 
+def _check_fixed(c: LeadingTerm):
+    """Raise unless c carries the fixed flag and its leading term bears it out."""
+    if c.sym != SYM_FIXED:
+        raise SymmetryFlagViolation("orthogonal data need sigma-fixed c")
+    if not flag_consistent(c):
+        raise SymmetryFlagViolation("declared fixed flag contradicts the leading term")
+
+
 def invariants_of_orthogonal_datum(datum) -> QuadInvariants:
     """(dim, disc, hasse) of the trace form of an orthogonal datum, by the
     compositional transfer route.  Every c_i must carry the fixed flag."""
     q = datum.base.q_base
     parts = []
     for factor in datum.factors:
-        c = factor.c
-        if c.sym != SYM_FIXED:
-            raise SymmetryFlagViolation("orthogonal data need sigma-fixed c")
-        if not flag_consistent(c):
-            raise SymmetryFlagViolation("declared fixed flag contradicts the leading term")
+        _check_fixed(factor.c)
         parts += (_transfer_one(v, r, factor.m, q) for v, r in _binary_entries(factor))
     return _finish(*_fold(parts, q), q)
 
@@ -234,10 +243,11 @@ def witt_equal(a: QuadInvariants, b: QuadInvariants) -> bool:
 def _trace_form_tensor(field: TameFieldDescriptor, prec: int):
     """Entry (i, j), i <= j, of the trace form over the tower basis
     b = x^a t^k (a < f, k < e): the Z_p-linear map C -> F-coordinates of
-    Tr_{L/F}(C b_i conj(b_j)), f0 rows of d*e ints mod p^N over the Z_p basis
-    x^a t^k of L (the order of the flattened parts).  Row r at x^a t^k is
-    p^k sum_a' h[r][a + a'] y_k[a'] for y = b_i conj(b_j), h[r][s] being
-    coordinate r of Tr_{L/F}(x^s): t^2 = p, and t-parts trace to 0."""
+    Tr_{L/F}(C b_i conj(b_j)) for C with a zero t-part, as every fixed c
+    of an orthogonal datum lifts, f0 rows of d ints mod p^N over the Z_p
+    basis x^a of part 0.  Row r at x^a is sum_a' h[r][a + a'] y_0[a'] for
+    y = b_i conj(b_j), h[r][s] being coordinate r of Tr_{L/F}(x^s): t-parts
+    trace to 0."""
     ring = ring_for(field, prec)
     d, e, f, pN = ring.d, ring.e, field.f, ring.pN
     x = tuple([0, 1] + [0] * (d - 2)) if d > 1 else (0,)
@@ -249,27 +259,27 @@ def _trace_form_tensor(field: TameFieldDescriptor, prec: int):
     tensor = {}
     for i, b_i in enumerate(basis):
         for j in range(i, len(basis)):
-            y = tr_mul(b_i, tr_conj(basis[j])).parts
-            y = [ring.uscale(yk, ring.p**k) for k, yk in enumerate(y)]
+            y0 = tr_mul(b_i, tr_conj(basis[j])).parts[0]
             tensor[i, j] = tuple(
-                tuple([sum([u * v for u, v in zip(hr[a:], yk)]) % pN for yk in y for a in range(d)])
-                for hr in h
+                tuple([sum([u * v for u, v in zip(hr[a:], y0)]) % pN for a in range(d)]) for hr in h
             )
     return tensor
 
 
 def _gram_matrix(factor, prec: int):
     """The trace form over F in the tower basis: entries in F's ring, each
-    row of the cached tensor dotted with c's flattened parts."""
+    row of the cached tensor dotted with part 0 of c."""
     field = factor.c.field
     base = base_field(field.base_p, field.base_f)
     ring = ring_for(base, prec)
     c = tr_lift(factor.c, prec)
-    flat = [v for u in c.parts for v in u]
+    if any(any(u) for u in c.parts[1:]):
+        raise DomainError("the Gram route needs c with a zero t-part")
+    c0 = c.parts[0]
     n = field.f * field.e
     gram = [[None] * n for _ in range(n)]
     for (i, j), rows in _trace_form_tensor(field, prec).items():
-        coords = tuple([sum([u * v for u, v in zip(row, flat)]) % ring.pN for row in rows])
+        coords = tuple([sum([u * v for u, v in zip(row, c0)]) % ring.pN for row in rows])
         gram[i][j] = gram[j][i] = _normalized(TruncatedElement(base, ring, (coords,), c.shift))
     return gram
 
@@ -334,13 +344,13 @@ def invariants_via_gram(datum) -> QuadInvariants:
     diagonalized with precision tracking; restarts with doubled precision
     on PrecisionExhausted."""
     q = datum.base.q_base
+    for factor in datum.factors:
+        _check_fixed(factor.c)
     start = 4 + sum(abs(f.c.val) // f.c.field.e + 2 for f in datum.factors)
     for prec in [start << k for k in range(5)]:
         try:
             classes = []
             for factor in datum.factors:
-                if factor.c.sym != SYM_FIXED:
-                    raise SymmetryFlagViolation("orthogonal data need sigma-fixed c")
                 diag = _diagonalize_symmetric(_gram_matrix(factor, prec))
                 classes += (square_class(entry.leading_term()) for entry in diag)
             return _finish(*diagonal_invariants(classes, q), q)

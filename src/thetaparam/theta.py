@@ -23,8 +23,6 @@ sigma-fixed datum that descends to an F-structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .errors import DomainError
 from .finitefield import fq_embedding
 from .localfield import (
@@ -62,6 +60,7 @@ from .torusdata import (
     depth_zero_general_position,
     validate,
 )
+from .value import Value, set_field
 
 
 class NotGeneralPosition(DomainError):
@@ -80,8 +79,7 @@ class SymmetryAssertionFailed(DomainError):
     pass
 
 
-@dataclass(frozen=True)
-class ThetaResult:
+class ThetaResult(Value):
     """Lifted orthogonal datum with its computed and predicted invariants.
 
     predicted_invariants uses the depth-zero parity table where it applies
@@ -89,11 +87,21 @@ class ThetaResult:
     is an internal consistency guarantee, not a data condition.
     """
 
-    lifted: TorusDatum
-    target_invariants: QuadInvariants
-    predicted_invariants: QuadInvariants
-    so: SOType
-    choices: dict
+    __slots__ = _fields = ("lifted", "target_invariants", "predicted_invariants", "so", "choices")
+
+    def __init__(
+        self,
+        lifted: TorusDatum,
+        target_invariants: QuadInvariants,
+        predicted_invariants: QuadInvariants,
+        so: SOType,
+        choices: dict,
+    ):
+        set_field(self, "lifted", lifted)
+        set_field(self, "target_invariants", target_invariants)
+        set_field(self, "predicted_invariants", predicted_invariants)
+        set_field(self, "so", so)
+        set_field(self, "choices", choices)
 
 
 def _embed_base_term(lt: LeadingTerm, field: TameFieldDescriptor) -> LeadingTerm:
@@ -108,10 +116,11 @@ def default_uniformizer(base: TameFieldDescriptor) -> LeadingTerm:
     return LeadingTerm(base, 1, base.residue_field().one(), SYM_FIXED, SYM_FIXED)
 
 
-def _negate_exponents(factor: Factor, q: int) -> dict:
+def _lifted_factor(factor: Factor, c_theta: LeadingTerm, q: int) -> Factor:
+    """The factor with c_theta in place of c and its character data inverted."""
     mod = factor.chi0_modulus(q)
     gammas = tuple((r, lt_neg(g)) for r, g in factor.gamma_levels)
-    return {"chi0": (-factor.chi0) % mod, "gamma_levels": gammas}
+    return Factor(factor.m, factor.step, c_theta, (-factor.chi0) % mod, gammas)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +182,7 @@ def _lift_zero_block(datum: TorusDatum, uniformizer, taus) -> ThetaResult:
             raise DomainError(f"factor {i}: tau must be a trace-zero unit of L")
         pw = _embed_base_term(uniformizer, field)
         c_theta = lt_mul(lt_mul(f.c, tau), pw)
-        lifted.append(replace(f, c=c_theta, **_negate_exponents(f, q)))
+        lifted.append(_lifted_factor(f, c_theta, q))
         tau_record[str(i)] = {"val": tau.val, "residue": list(tau.residue.coeffs)}
     out = TorusDatum(datum.base, tuple(lifted), POLARITY_ORTHOGONAL)
     target = invariants_of_orthogonal_datum(out)
@@ -210,7 +219,7 @@ def _lift_positive(datum: TorusDatum) -> ThetaResult:
     lifted = []
     for f in datum.factors:
         c_theta = lt_neg(lt_mul(f.c, f.top_gamma()))
-        lifted.append(replace(f, c=c_theta, **_negate_exponents(f, q)))
+        lifted.append(_lifted_factor(f, c_theta, q))
     out = TorusDatum(datum.base, tuple(lifted), POLARITY_ORTHOGONAL)
     target = invariants_of_orthogonal_datum(out)
     return ThetaResult(out, target, target, so_type(target), choices={})
@@ -287,7 +296,7 @@ def canonical_iota(base_f_field: TameFieldDescriptor) -> LeadingTerm:
 def canonical_sigma_uniformizer(base_f_field: TameFieldDescriptor) -> LeadingTerm:
     """pi_E = p * sqrt(u): a uniformizer of E lying in the sigma-anti part."""
     iota = canonical_iota(base_f_field)
-    return replace(iota, val=1)
+    return LeadingTerm(iota.field, 1, iota.residue, iota.sym, iota.sigma_sym)
 
 
 def _sigma_power(factor_field_desc: TameFieldDescriptor, base_f_field: TameFieldDescriptor) -> int:
@@ -297,8 +306,7 @@ def _sigma_power(factor_field_desc: TameFieldDescriptor, base_f_field: TameField
     return base_f_field.q_base**m
 
 
-@dataclass(frozen=True)
-class DistinctionWitness:
+class DistinctionWitness(Value):
     """A symplectic datum over E with a declared factor-wise F-structure.
 
     The F-structure of factor i is the canonical pair K_i0 (unramified of
@@ -308,8 +316,11 @@ class DistinctionWitness:
     gamma are declared through the sigma flags of the leading terms.
     """
 
-    base_f_field: TameFieldDescriptor
-    datum_over_e: TorusDatum
+    __slots__ = _fields = ("base_f_field", "datum_over_e")
+
+    def __init__(self, base_f_field: TameFieldDescriptor, datum_over_e: TorusDatum):
+        set_field(self, "base_f_field", base_f_field)
+        set_field(self, "datum_over_e", datum_over_e)
 
 
 def witness_violations(w: DistinctionWitness) -> list:
@@ -340,11 +351,13 @@ def witness_violations(w: DistinctionWitness) -> list:
     return v
 
 
-@dataclass(frozen=True)
-class DistinctionVerdict:
-    distinguished: bool
-    restriction_exponents: tuple
-    details: dict
+class DistinctionVerdict(Value):
+    __slots__ = _fields = ("distinguished", "restriction_exponents", "details")
+
+    def __init__(self, distinguished: bool, restriction_exponents: tuple, details: dict):
+        set_field(self, "distinguished", distinguished)
+        set_field(self, "restriction_exponents", restriction_exponents)
+        set_field(self, "details", details)
 
     def as_dict(self):
         return {
@@ -382,21 +395,34 @@ def distinguished_check(w: DistinctionWitness) -> DistinctionVerdict:
 def _iota_twist_factor(f: Factor, iota_in_l: LeadingTerm) -> Factor:
     c = lt_mul(f.c, iota_in_l)
     gammas = tuple((r, lt_mul(g, iota_in_l)) for r, g in f.gamma_levels)
-    return replace(f, c=c, gamma_levels=gammas)
+    return Factor(f.m, f.step, c, f.chi0, gammas)
 
 
-@dataclass(frozen=True)
-class TransportResult:
+class TransportResult(Value):
     """Distinction transport output: the sigma-fixed iota-twisted lift over
     E, its descended F-structure, and the invariants on both sides."""
 
-    twisted_datum_e: TorusDatum
-    invariants_e: QuadInvariants
-    f_datum: TorusDatum
-    invariants_f: QuadInvariants
-    so_f: SOType
-    choices: dict
-    checks: dict
+    __slots__ = _fields = (
+        "twisted_datum_e", "invariants_e", "f_datum", "invariants_f", "so_f", "choices", "checks"
+    )
+
+    def __init__(
+        self,
+        twisted_datum_e: TorusDatum,
+        invariants_e: QuadInvariants,
+        f_datum: TorusDatum,
+        invariants_f: QuadInvariants,
+        so_f: SOType,
+        choices: dict,
+        checks: dict,
+    ):
+        set_field(self, "twisted_datum_e", twisted_datum_e)
+        set_field(self, "invariants_e", invariants_e)
+        set_field(self, "f_datum", f_datum)
+        set_field(self, "invariants_f", invariants_f)
+        set_field(self, "so_f", so_f)
+        set_field(self, "choices", choices)
+        set_field(self, "checks", checks)
 
 
 def distinction_transport(w: DistinctionWitness) -> TransportResult:

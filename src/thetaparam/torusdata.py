@@ -11,7 +11,6 @@ orthogonal data fixed-flagged c.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import DomainError
@@ -28,6 +27,7 @@ from .localfield import (
     lt_inv,
     lt_mul,
 )
+from .value import Record, Value, set_field
 
 
 class NotDepthZero(DomainError):
@@ -42,8 +42,7 @@ POLARITY_SYMPLECTIC = "symplectic"
 POLARITY_ORTHOGONAL = "orthogonal"
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(Value):
     """One factor (L_i, L_i0, c_i, chi_i) of a datum.
 
     gamma_levels lists (depth r, leading term of gamma) with strictly
@@ -51,11 +50,14 @@ class Factor:
     i.e. val = -r * e as an integer.
     """
 
-    m: int
-    step: str
-    c: LeadingTerm
-    chi0: int = 0
-    gamma_levels: tuple = ()
+    __slots__ = _fields = ("m", "step", "c", "chi0", "gamma_levels")
+
+    def __init__(self, m: int, step: str, c: LeadingTerm, chi0: int = 0, gamma_levels: tuple = ()):
+        set_field(self, "m", m)
+        set_field(self, "step", step)
+        set_field(self, "c", c)
+        set_field(self, "chi0", chi0)
+        set_field(self, "gamma_levels", gamma_levels)
 
     @property
     def depth(self) -> Fraction:
@@ -71,11 +73,13 @@ class Factor:
         return q**self.m + 1 if self.step == STEP_UNRAMIFIED else 2
 
 
-@dataclass(frozen=True)
-class TorusDatum:
-    base: TameFieldDescriptor
-    factors: tuple
-    polarity: str
+class TorusDatum(Value):
+    __slots__ = _fields = ("base", "factors", "polarity")
+
+    def __init__(self, base: TameFieldDescriptor, factors: tuple, polarity: str):
+        set_field(self, "base", base)
+        set_field(self, "factors", factors)
+        set_field(self, "polarity", polarity)
 
     @property
     def n(self) -> int:
@@ -85,9 +89,11 @@ class TorusDatum:
         return TorusDatum(self.base, tuple(factors), self.polarity)
 
 
-@dataclass
-class ValidationReport:
-    violations: list
+class ValidationReport(Record):
+    __slots__ = _fields = ("violations",)
+
+    def __init__(self, violations: list):
+        self.violations = violations
 
     @property
     def ok(self) -> bool:
@@ -150,14 +156,16 @@ def validate(datum: TorusDatum) -> ValidationReport:
 # depth-zero residue reduction
 
 
-@dataclass(frozen=True)
-class FiniteTorusDatum:
+class FiniteTorusDatum(Value):
     """Finite-field shadow of a depth-zero block: factors (m_i, L_i0, L_i)
     with character exponents on the norm-one groups of order q^{m_i} + 1."""
 
-    q: int
-    entries: tuple  # of m_i
-    exponents: tuple
+    __slots__ = _fields = ("q", "entries", "exponents")
+
+    def __init__(self, q: int, entries: tuple, exponents: tuple):
+        set_field(self, "q", q)
+        set_field(self, "entries", entries)  # of m_i
+        set_field(self, "exponents", exponents)
 
     @property
     def dim(self) -> int:
@@ -268,12 +276,14 @@ def depth_zero_general_position(datum: TorusDatum) -> bool:
 # block decomposition
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(Value):
     """Factor indices grouped by top gamma depth, depths strictly decreasing;
     depth 0 collects the gamma-free factors."""
 
-    levels: tuple  # of (Fraction depth, tuple of factor indices)
+    __slots__ = _fields = ("levels",)
+
+    def __init__(self, levels: tuple):
+        set_field(self, "levels", levels)  # of (Fraction depth, tuple of factor indices)
 
     def as_dict(self):
         return {str(r): list(ix) for r, ix in self.levels}
@@ -317,7 +327,7 @@ def _apply_iso(lt: LeadingTerm, iso, q: int) -> LeadingTerm:
     res = lt.residue ** (q**j)
     if sign == -1 and lt.val % 2:
         res = -res
-    return replace(lt, residue=res)
+    return lt.with_residue(res)
 
 
 def _iso_matches_c(fa: Factor, fb: Factor, iso, q: int) -> bool:

@@ -151,6 +151,28 @@ def test_invariants_need_fixed_flags():
         invariants_of_orthogonal_datum(bad)
 
 
+@pytest.mark.parametrize("step, val", [
+    (STEP_RAMIFIED, 1), (STEP_RAMIFIED, 3), (STEP_RAMIFIED, -1),
+    (STEP_UNRAMIFIED, 0), (STEP_UNRAMIFIED, 3), (STEP_UNRAMIFIED, -1),
+])
+def test_both_routes_reject_a_fixed_flag_the_leading_term_contradicts(step, val):
+    """An odd val on a ramified step, or the residue x of F_9, which
+    Frobenius moves, on an unramified one, contradicts the fixed flag: the
+    Gram route raises as the transfer route does, instead of symmetrizing
+    a form that is not symmetric."""
+    base = base_field(3)
+    residue = [1] if step == STEP_RAMIFIED else [0, 1]
+    c = lt_make(factor_field(base, 1, step), val, residue, SYM_FIXED)
+    d = TorusDatum(base, (Factor(1, step, c),), POLARITY_ORTHOGONAL)
+    for route in (invariants_of_orthogonal_datum, invariants_via_gram):
+        with pytest.raises(SymmetryFlagViolation) as info:
+            route(d)
+        assert str(info.value) == "declared fixed flag contradicts the leading term"
+    if step == STEP_RAMIFIED:  # an odd val lifts to a t-part, which the tensor has no columns for
+        with pytest.raises(DomainError, match="^the Gram route needs c with a zero t-part$"):
+            _gram_matrix(d.factors[0], 8)
+
+
 def test_symplectic_sanity():
     rng = random.Random(2)
     d = gen.random_mixed_datum(5, rng, 3)
@@ -355,7 +377,8 @@ def test_tensor_entries_match_the_per_entry_trace_formula():
     common shift, on seeded criterion-7 data and f0 = 2 data, and most agree
     mod p^N.  Not all of them: the formula's intermediate _normalized
     divides by p, so its top digit is not certified.  On a random integral
-    C, whose every part is nonzero, the tensor map agrees exactly."""
+    C with a zero t-part, as an orthogonal c lifts, the tensor map agrees
+    exactly."""
     rng = random.Random(707)
     data = [gen.random_orthogonal_datum((3, 5, 7)[i % 3], rng, 4) for i in range(150)]
     data += [gen.random_orthogonal_datum((3, 5, 7)[i % 3], rng, 3, 2) for i in range(60)]
@@ -366,10 +389,10 @@ def test_tensor_entries_match_the_per_entry_trace_formula():
         for factor in d.factors:
             gram = _gram_matrix(factor, prec)
             ring = ring_for(factor.c.field, prec)
-            rand = TruncatedElement(factor.c.field, ring, gen.random_parts(ring, rng))
-            flat = [v for u in rand.parts for v in u]
+            c0 = gen.random_parts(ring, rng)[0]
+            rand = TruncatedElement(factor.c.field, ring, ring.parts(c0))
             for (i, j), rows in quadform._trace_form_tensor(factor.c.field, prec).items():
-                assert _entry_by_products(rand, i, j) == (tuple(sum(map(mul, r, flat)) % pN for r in rows), 0)
+                assert _entry_by_products(rand, i, j) == (tuple(sum(map(mul, r, c0)) % pN for r in rows), 0)
                 coords, shift = _entry_by_products(tr_lift(factor.c, prec), i, j)
                 got = gram[i][j]
                 assert got.field == d.base and got.ring is ring_for(d.base, prec)

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -246,7 +245,7 @@ def test_lift_five_factor_depth_zero_datum():
     assert res.target_invariants.dim == 30
     assert witt_equal(res.target_invariants, parity_predict(d)[0])
     # 5 = 5 * 1 lies in the orbit of 1, so the factors 1 and 5 collide
-    same_orbit = d.replace_factors(factors[:4] + (replace(factors[4], chi0=5),))
+    same_orbit = d.replace_factors(factors[:4] + (Factor(3, STEP_UNRAMIFIED, tau, 5),))
     assert validate(same_orbit).violations == [
         "depth-zero character exponents are not in general position"
     ]
