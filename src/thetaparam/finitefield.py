@@ -91,6 +91,8 @@ def _mulmod(a, b, modulus, n):
     """a * b mod (modulus, n) for coefficient tuples of length d = deg modulus
     over Z/n; modulus is monic.  Serves F_p[x]/(m) and (Z/p^N)[x]/(m)."""
     d = len(a)
+    if d == 1:
+        return ((a[0] * b[0]) % n,)
     out = [0] * (2 * d - 1)
     for i, ai in enumerate(a):
         if ai:

@@ -288,8 +288,15 @@ def _diagonalize_symmetric(gram):
     """Symmetric congruence diagonalization pivoting on minimal valuation.
 
     Step i reads and writes only the trailing block g[i:][i:]: entries
-    outside it are never read again.  Raises PrecisionExhausted when no
-    pivot can be certified nonzero.
+    outside it are never read again.  It subtracts f_k times the pivot row
+    from each row k below, then f_k times the pivot column from each column
+    k, with f_k = g[k][i] / pivot, but skips the work whose result is known:
+    the pivot is inverted only when a certified-nonzero entry lies below it
+    (never the last one), row i is not updated (it is never read again),
+    and no product has an exact-zero operand.  tr_sub(x, tr_mul(f, 0))
+    returns x's parts and shift unchanged, since shifts are >= 0, so every
+    diagonal entry has the bytes of the full update.  Raises
+    PrecisionExhausted when no pivot can be certified nonzero.
     """
     g = [row[:] for row in gram]
     n = len(g)
@@ -324,17 +331,20 @@ def _diagonalize_symmetric(gram):
             for row in g:
                 row[i], row[r] = row[r], row[i]
         pivot = g[i][i]
-        inv_pivot = tr_inv(pivot)
-        factors = {}
-        for k in range(i + 1, n):
-            if g[k][i].val_or_none() is not None:
-                factors[k] = tr_mul(g[k][i], inv_pivot)
-        for k, factor in factors.items():
-            for j in range(i, n):
-                g[k][j] = tr_sub(g[k][j], tr_mul(factor, g[i][j]))
-        for k, factor in factors.items():
-            for j in range(i, n):
-                g[j][k] = tr_sub(g[j][k], tr_mul(factor, g[j][i]))
+        below = [k for k in range(i + 1, n) if g[k][i].val_or_none() is not None]
+        if below and (inv_pivot := tr_inv(pivot)).val_or_none() is not None:
+            factors = [(k, tr_mul(g[k][i], inv_pivot)) for k in below]
+            factors = [(k, f) for k, f in factors if f.val_or_none() is not None]
+            pivot_row = [(j, g[i][j]) for j in range(i, n) if g[i][j].val_or_none() is not None]
+            for k, factor in factors:
+                for j, x in pivot_row:
+                    g[k][j] = tr_sub(g[k][j], tr_mul(factor, x))
+            # column i after the row pass: mostly exact zeros; the rest is
+            # the error of the truncated factors, which the column pass cancels
+            residue = [(j, g[j][i]) for j in below if g[j][i].val_or_none() is not None]
+            for k, factor in factors:
+                for j, x in residue:
+                    g[j][k] = tr_sub(g[j][k], tr_mul(factor, x))
         diag.append(pivot)
     return diag
 

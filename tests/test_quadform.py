@@ -331,6 +331,102 @@ def test_trailing_block_elimination_matches_full_row_reference():
     assert promotions
 
 
+def _matches_full_row(gram, promotions):
+    """Both eliminations of gram raise PrecisionExhausted with the same
+    message, or return diagonal entries with the same (parts, shift).
+    True when they returned."""
+    try:
+        expected = _full_row_diagonalize(gram, promotions)
+    except PrecisionExhausted as exc:
+        with pytest.raises(PrecisionExhausted) as got:
+            _diagonalize_symmetric(gram)
+        assert str(got.value) == str(exc)
+        return False
+    got = _diagonalize_symmetric(gram)
+    assert [(e.parts, e.shift) for e in got] == [(e.parts, e.shift) for e in expected]
+    return True
+
+
+@pytest.mark.parametrize("f0", [2, 3])
+def test_trailing_block_elimination_matches_full_row_reference_over_a_base_of_degree_f0(f0):
+    """The same exact comparison over F of degree f0 > 1, where _mulmod
+    multiplies coefficient tuples of length f0, at the precisions the Gram
+    route tries."""
+    rng = random.Random(900 + f0)
+    compared, ramified, promotions = 0, 0, []
+    for i in range(100):
+        d = gen.random_orthogonal_datum((3, 5, 7)[i % 3], rng, 3, f0)
+        start = 4 + sum(abs(f.c.val) // f.c.field.e + 2 for f in d.factors)
+        for factor in d.factors:
+            for k in range(5):
+                if _matches_full_row(_gram_matrix(factor, start << k), promotions):
+                    compared += 1
+                    ramified += factor.step == STEP_RAMIFIED
+                    break
+    assert compared >= 150 and ramified >= 75 and promotions
+
+
+def test_elimination_exhausts_like_the_full_row_reference_at_low_precision():
+    """At precisions 1-4 many Gram matrices run out of certified digits:
+    both eliminations raise the same PrecisionExhausted or return the same
+    entries, over F of degree 1 and 2."""
+    rng = random.Random(728)
+    outcomes = []
+    for i in range(120):
+        f0 = 1 + i % 2
+        d = gen.random_orthogonal_datum((3, 5, 7)[i % 3], rng, 4 if f0 == 1 else 3, f0)
+        for factor in d.factors:
+            outcomes += (_matches_full_row(_gram_matrix(factor, prec), []) for prec in range(1, 5))
+    assert outcomes.count(False) >= 150 and outcomes.count(True) >= 400
+
+
+def _record_calls(monkeypatch, namespace, inverses, products):
+    """Wrap tr_inv and tr_mul where namespace (a module's dict) looks them
+    up: each inversion appends (argument, result) to inverses and each
+    product appends its operands to products."""
+    real_inv, real_mul = tr_inv, tr_mul
+
+    def inv(x):
+        inverses.append((x, real_inv(x)))
+        return inverses[-1][1]
+
+    def mul(x, y):
+        products.append((x, y))
+        return real_mul(x, y)
+
+    monkeypatch.setitem(namespace, "tr_inv", inv)
+    monkeypatch.setitem(namespace, "tr_mul", mul)
+
+
+def test_elimination_inverts_only_the_pivots_it_uses_and_never_multiplies_by_zero(monkeypatch):
+    """On seeded criterion-7 data at the Gram route's start precision,
+    tr_inv runs once per pivot with a certified-nonzero entry below it: the
+    pivots whose inverse the full-row reference, which inverts every pivot,
+    goes on to use.  The last pivot is never inverted, and no tr_mul operand
+    is an exact zero."""
+    rng = random.Random(729)
+    grams = []
+    for i in range(120):
+        d = gen.random_orthogonal_datum((3, 5, 7)[i % 3], rng, 4)
+        start = 4 + sum(abs(f.c.val) // f.c.field.e + 2 for f in d.factors)
+        grams += (_gram_matrix(factor, start) for factor in d.factors)
+    inverses, products, ref_inverses, ref_products = [], [], [], []
+    _record_calls(monkeypatch, vars(quadform), inverses, products)
+    _record_calls(monkeypatch, globals(), ref_inverses, ref_products)
+    inverted, pivots = 0, 0
+    for gram in grams:
+        del inverses[:], products[:], ref_inverses[:], ref_products[:]
+        diag = _diagonalize_symmetric(gram)
+        _full_row_diagonalize(gram, [])
+        used = [x for x, y in ref_inverses if any(m is y for _, m in ref_products)]
+        assert [(x.parts, x.shift) for x, _ in inverses] == [(x.parts, x.shift) for x in used]
+        assert all(x is not diag[-1] for x, _ in inverses)
+        assert all(x.val_or_none() is not None for pair in products for x in pair)
+        inverted += len(inverses)
+        pivots += len(diag)
+    assert len(grams) >= 150 and 0 < inverted < pivots - len(grams)
+
+
 def test_gram_exhaustion_reports_the_last_precision_tried(monkeypatch):
     tried = []
 
