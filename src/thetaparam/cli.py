@@ -220,6 +220,8 @@ def parse_datum(doc: dict):
                 r = Fraction(gdoc["r"])
             except ZeroDivisionError:
                 raise DomainError(f"{tag} has a zero denominator") from None
+            except ValueError:  # beyond the interpreter's int-string digit limit
+                raise DomainError(f"{tag} has too many digits") from None
             if (r * field.e).denominator != 1:
                 raise DomainError(f"{tag} is not in (1/{field.e})Z, the value group of L")
             gs = gdoc.get("sigma_sym") or (gsigmas[j] if j < len(gsigmas) else SYM_NONE)

@@ -33,10 +33,6 @@ class ZeroInput(DomainError):
     pass
 
 
-class DividesInput(DomainError):
-    pass
-
-
 class FieldTooLarge(DomainError):
     pass
 
@@ -201,10 +197,6 @@ class FqDescriptor(Value):
     def one(self) -> "FqElement":
         return self.element([1])
 
-    def from_int(self, n: int) -> "FqElement":
-        """Image of the integer n under Z -> F_p -> F_{p^f}."""
-        return self.element([n % self.p])
-
     def gen(self) -> "FqElement":
         """The class of x (for f = 1 this is the class of 0)."""
         if self.f == 1:
@@ -291,16 +283,6 @@ class FqElement(Value):
         """x -> x^{p^j}."""
         return self ** (self.field.p ** (j % self.field.f) if self.field.f > 1 else 1)
 
-    def multiplicative_order(self) -> int:
-        if self.is_zero():
-            raise ZeroInput("order of zero")
-        n = self.field.order - 1
-        order = n
-        for ell in _prime_factors(n):
-            while order % ell == 0 and (self ** (order // ell)) == self.field.one():
-                order //= ell
-        return order
-
     def _check(self, other):
         if self.field != other.field:
             raise DomainError("elements of different fields")
@@ -323,15 +305,6 @@ def fq_is_square(x: FqElement) -> bool:
         a, b = b, r
     norm *= pow(b[0], len(a) - 1, p)  # Res(a, c) = c^deg(a)
     return pow(norm, (p - 1) // 2, p) == 1
-
-
-def fq_legendre(a: int, p: int) -> int:
-    """Legendre symbol of the integer a mod the odd prime p; +1 iff square."""
-    if not is_prime(p) or p == 2:
-        raise NotPrime(f"p = {p} is not an odd prime")
-    if a % p == 0:
-        raise DividesInput(f"{p} divides {a}")
-    return 1 if pow(a % p, (p - 1) // 2, p) == 1 else -1
 
 
 @lru_cache(maxsize=None)

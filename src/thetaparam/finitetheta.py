@@ -10,10 +10,10 @@ whose scalar normalization is pinned by the group relations
 
 Deligne-Lusztig characters of SL2(q) (discrete and principal series in
 general position) and the induced characters of the dihedral groups
-O(V+-)(q) are provided in closed form, cross-checked against numerically
-computed character tables, and fed into multiplicity sums that verify the
-rank-one theta pattern: a regular nonsplit-torus character lifts with
-multiplicity one to the anisotropic pair and vanishes on the split pair.
+O(V+-)(q) are provided in closed form, checked against the numerical
+character tables of thetaparam.oracle, and fed into multiplicity sums that
+verify the rank-one theta pattern: a regular nonsplit-torus character lifts
+with multiplicity one to the anisotropic pair and vanishes on the split pair.
 
 Every group element is a small-int numpy matrix keyed by the int64 code of
 its entries.  SL2(q) and O(V) are MatrixGroups: their elements in code
@@ -355,9 +355,6 @@ class ClassFunction(Record):
     def degree(self) -> complex:
         return self.values[self.group.identity]
 
-    def inner(self, other: "ClassFunction") -> complex:
-        return np.vdot(other.values, self.values) / len(self.values)
-
     def close_to(self, other: "ClassFunction") -> bool:
         return bool(np.all(np.abs(self.values - other.values) < MULT_TOL))
 
@@ -511,68 +508,6 @@ def verify_finite_theta(q: int) -> dict:
     if not report["ok"]:
         raise VerificationFailure(f"finite theta pattern failed for q = {q}: {report}")
     return report
-
-
-# ---------------------------------------------------------------------------
-# numerical character tables (class-algebra eigenvectors) and group tools
-
-
-def conjugacy_classes(group: MatrixGroup):
-    """The conjugacy classes as increasing index arrays: the identity first,
-    then by size and first index."""
-    first = group.mul[group.mul, group.inverse[:, None]].min(axis=0)  # min over x of x g x^-1
-    classes = [np.flatnonzero(first == r) for r in np.unique(first)]
-    classes.sort(key=lambda cl: (cl[0] != group.identity, len(cl), cl[0]))
-    return classes
-
-
-def numerical_character_table(group: MatrixGroup):
-    """Irreducible characters of a small matrix group, via simultaneous
-    eigenvectors of the class-sum multiplication matrices."""
-    classes = conjugacy_classes(group)
-    ncl = len(classes)
-    cls_of = np.empty(len(group.elements), dtype=int)
-    for ci, cl in enumerate(classes):
-        cls_of[cl] = ci
-    reps = [cl[0] for cl in classes]
-    # class multiplication: tables[i, j, k] counts the x in C_i with x^-1 z_k
-    # in C_j, z_k the representative of C_k
-    tables = np.zeros((ncl, ncl, ncl))
-    for i, cl in enumerate(classes):
-        ys = cls_of[group.mul[group.inverse[cl][:, None], reps]]
-        np.add.at(tables[i], (ys, np.arange(ncl)), 1)
-    rng = np.random.default_rng(1)
-    for _ in range(8):
-        coeffs = rng.standard_normal(ncl)
-        m = sum(c * tables[i] for i, c in enumerate(coeffs))
-        vals, vecs = np.linalg.eig(m)
-        if np.min(np.abs(vals[:, None] - vals[None, :]) + np.eye(ncl)) > 1e-6:
-            break
-    else:
-        raise VerificationFailure("could not split the class algebra")
-    sizes = np.array([len(cl) for cl in classes], dtype=float)
-    chars = []
-    for t in range(ncl):
-        v = vecs[:, t]
-        v = v / v[0]  # central character values omega_j, normalized at 1
-        # chi_j = d * omega_j / |C_j| with d fixed by sum |C_j||chi_j|^2 = |G|
-        norm = float(np.real(np.sum(v * np.conj(v) / sizes)))
-        d = (len(group.elements) / norm) ** 0.5
-        chars.append(ClassFunction(group, (d * v / sizes)[cls_of], "num"))
-    return chars
-
-
-def decomposition_dimension_check(q: int, variant: str) -> bool:
-    """Full decomposition accounting: sum over all irreducible pairs of
-    multiplicity * deg(pi) * deg(rho) equals q^2."""
-    rep = build_weil_rep(q, variant)
-    chars_o = numerical_character_table(rep.pair.o2)
-    total = 0
-    for pi in numerical_character_table(rep.pair.sl2):
-        for rho in chars_o:
-            m = theta_multiplicity(rep, pi, rho)
-            total += m * round(abs(pi.degree())) * round(abs(rho.degree()))
-    return total == q * q
 
 
 # ---------------------------------------------------------------------------

@@ -175,24 +175,12 @@ class LeadingTerm(Value):
         set_field(self, "sym", sym)
         set_field(self, "sigma_sym", sigma_sym)
 
-    def with_sym(self, sym: str, sigma_sym: str | None = None) -> "LeadingTerm":
-        sigma_sym = self.sigma_sym if sigma_sym is None else sigma_sym
-        return LeadingTerm(self.field, self.val, self.residue, sym, sigma_sym)
-
     def with_residue(self, residue: FqElement) -> "LeadingTerm":
         return LeadingTerm(self.field, self.val, residue, self.sym, self.sigma_sym)
 
     def __repr__(self):
         tags = self.sym + ("" if self.sigma_sym == SYM_NONE else f"/s:{self.sigma_sym}")
         return f"LT(val={self.val},res={list(self.residue.coeffs)},{tags})"
-
-
-def lt_make(field, val, residue_coeffs, sym=SYM_NONE, sigma_sym=SYM_NONE) -> LeadingTerm:
-    return LeadingTerm(field, val, field.residue_field().element(residue_coeffs), sym, sigma_sym)
-
-
-def lt_one(field: TameFieldDescriptor) -> LeadingTerm:
-    return LeadingTerm(field, 0, field.residue_field().one(), SYM_FIXED, SYM_FIXED)
 
 
 def lt_mul(a: LeadingTerm, b: LeadingTerm) -> LeadingTerm:
@@ -214,21 +202,6 @@ def lt_neg(a: LeadingTerm) -> LeadingTerm:
 
 def lt_inv(a: LeadingTerm) -> LeadingTerm:
     return LeadingTerm(a.field, -a.val, a.residue.inverse(), a.sym, a.sigma_sym)
-
-
-def relative_conjugate(a: LeadingTerm) -> LeadingTerm:
-    """The involution of the marked quadratic step L/L0 on leading terms.
-
-    Unramified step: angular residues are taken against a step-fixed
-    uniformizer, so only the residue moves (by the relative Frobenius).
-    Ramified step: the canonical uniformizer is negated, so the angular
-    residue picks up (-1)^val and the residue field is untouched.
-    """
-    field = a.field
-    field._need_step()
-    if field.step == STEP_UNRAMIFIED:
-        return a.with_residue(a.residue ** field.relative_residue_size)
-    return a if a.val % 2 == 0 else a.with_residue(-a.residue)
 
 
 def residue_sym_ok(residue: FqElement, power: int, sym: str) -> bool:
@@ -311,11 +284,6 @@ def minus_one_class(q: int) -> SquareClass:
 
 
 # canonical elements -------------------------------------------------------
-
-
-def lt_uniformizer_base(field: TameFieldDescriptor) -> LeadingTerm:
-    """The base uniformizer p as a leading term of L (val = e, fixed)."""
-    return LeadingTerm(field, field.e, field.residue_field().one(), SYM_FIXED, SYM_FIXED)
 
 
 @lru_cache(maxsize=None)
@@ -507,9 +475,8 @@ class TruncatedElement(Value):
     """(parts[0] + parts[1] t + ... + parts[e-1] t^(e-1)) / p^shift.
 
     Each part is a length-d coefficient tuple in the unramified ring mod p^N,
-    and t is the canonical uniformizer: t^2 = p when e = 2.  The digit
-    expansion (a strictly increasing list of (valuation, residue) pairs) is
-    exposed as a derived view.  Instances keep a __dict__ for the valuation.
+    and t is the canonical uniformizer: t^2 = p when e = 2.  Instances keep
+    a __dict__ for the valuation.
     """
 
     _fields = ("field", "ring", "parts", "shift")
@@ -552,18 +519,6 @@ class TruncatedElement(Value):
         k = v // e + self.shift
         res = self.field.residue_field().element([(c // p**k) % p for c in self.parts[v % e]])
         return LeadingTerm(self.field, v, res, sym, sigma_sym)
-
-    def expansion(self):
-        """Digit list [(val_L, residue)] for all certified digits."""
-        out = []
-        x = self
-        guard = self.precision + 2
-        while x.val_or_none() is not None and guard > 0:
-            lt = x.leading_term()
-            out.append((lt.val, lt.residue))
-            x = tr_sub(x, tr_lift(lt, self.ring.prec))
-            guard -= 1
-        return out
 
     def __repr__(self):
         return f"Trunc({self.field}, parts={[list(u) for u in self.parts]}, /p^{self.shift})"
@@ -612,11 +567,6 @@ def _t_negated(x: TruncatedElement) -> TruncatedElement:
     """The image of x under t -> -t."""
     parts = tuple([x.ring.uneg(u) if k % 2 else u for k, u in enumerate(x.parts)])
     return TruncatedElement(x.field, x.ring, parts, x.shift)
-
-
-def tr_from_int(field: TameFieldDescriptor, n: int, prec: int) -> TruncatedElement:
-    ring = ring_for(field, prec)
-    return TruncatedElement(field, ring, ring.parts(ring.uscale(ring.uone(), n % ring.pN)), 0)
 
 
 def tr_lift(lt: LeadingTerm, prec: int) -> TruncatedElement:
@@ -680,19 +630,3 @@ def tr_conj(x: TruncatedElement) -> TruncatedElement:
     j = x.ring.d // 2
     parts = tuple([x.ring.automorphism_sum(u, (j,)) for u in x.parts])
     return TruncatedElement(x.field, x.ring, parts, x.shift)
-
-
-def tr_trace_step(x: TruncatedElement) -> TruncatedElement:
-    return tr_add(x, tr_conj(x))
-
-
-def tr_norm_step(x: TruncatedElement) -> TruncatedElement:
-    return tr_mul(x, tr_conj(x))
-
-
-def tr_trace_to_base(x: TruncatedElement) -> TruncatedElement:
-    """Tr_{L/F}: e times the sum of part 0 over the Galois automorphisms
-    fixing the base field F (the t-parts of the e t-conjugates cancel)."""
-    ring = x.ring
-    acc = ring.automorphism_sum(x.parts[0], tuple(range(0, ring.d, x.field.base_f)))
-    return TruncatedElement(x.field, ring, ring.parts(ring.uscale(acc, ring.e)), x.shift)

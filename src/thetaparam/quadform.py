@@ -25,7 +25,6 @@ from .finitefield import _powmod, fq_canonical_nonsquare, fq_embedding, fq_is_sq
 from .localfield import (
     SQ_ONE,
     STEP_UNRAMIFIED,
-    SYM_ANTI,
     SYM_FIXED,
     LeadingTerm,
     PrecisionExhausted,
@@ -86,19 +85,7 @@ class SOType(Value):
 
 
 # ---------------------------------------------------------------------------
-# Hilbert symbols
-
-
-def hilbert_symbol(a: LeadingTerm, b: LeadingTerm) -> int:
-    """Tame Hilbert symbol over the common field of a and b.
-
-    For a = pi^alpha a0, b = pi^beta b0:
-    (a,b) = (-1)^{alpha beta (q-1)/2} leg(a0)^beta leg(b0)^alpha.
-    """
-    if a.field != b.field:
-        raise DomainError("Hilbert symbol needs both arguments on one field")
-    q = a.field.base_p ** (a.field.base_f * a.field.f)
-    return hilbert_class(square_class(a), square_class(b), q)
+# Hilbert symbols of square classes and orthogonal sums
 
 
 def hilbert_class(ca: SquareClass, cb: SquareClass, q: int) -> int:
@@ -206,17 +193,6 @@ def invariants_of_orthogonal_datum(datum) -> QuadInvariants:
     return _finish(*_fold(parts, q), q)
 
 
-def symplectic_sanity(datum) -> int:
-    """All symplectic spaces of one dimension are equivalent; only dim is
-    returned, after checking the anti flags."""
-    for factor in datum.factors:
-        if factor.c.sym != SYM_ANTI:
-            raise SymmetryFlagViolation("symplectic data need anti-flagged c")
-        if not flag_consistent(factor.c):
-            raise SymmetryFlagViolation("declared anti flag contradicts the leading term")
-    return 2 * sum(f.m for f in datum.factors)
-
-
 def so_type(inv: QuadInvariants) -> SOType:
     if inv.dim < 2 or inv.dim % 2:
         raise DomainError("so_type needs even dimension >= 2")
@@ -229,10 +205,6 @@ def so_type(inv: QuadInvariants) -> SOType:
     if inv.disc.pi == 0:
         return SOType("quasi_split_unramified", inv.hasse)
     return SOType("quasi_split_ramified", inv.hasse)
-
-
-def witt_equal(a: QuadInvariants, b: QuadInvariants) -> bool:
-    return a.dim == b.dim and a.disc == b.disc and a.hasse == b.hasse
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +268,9 @@ def _diagonalize_symmetric(gram):
     and no product has an exact-zero operand.  tr_sub(x, tr_mul(f, 0))
     returns x's parts and shift unchanged, since shifts are >= 0, so every
     diagonal entry has the bytes of the full update.  Raises
-    PrecisionExhausted when no pivot can be certified nonzero.
+    PrecisionExhausted when no pivot can be certified nonzero, or when a
+    pivot with a nonzero entry below it has an inverse that truncates to
+    zero.
     """
     g = [row[:] for row in gram]
     n = len(g)
@@ -332,7 +306,10 @@ def _diagonalize_symmetric(gram):
                 row[i], row[r] = row[r], row[i]
         pivot = g[i][i]
         below = [k for k in range(i + 1, n) if g[k][i].val_or_none() is not None]
-        if below and (inv_pivot := tr_inv(pivot)).val_or_none() is not None:
+        if below:
+            inv_pivot = tr_inv(pivot)
+            if inv_pivot.val_or_none() is None:
+                raise PrecisionExhausted("pivot inverse truncates to zero")
             factors = [(k, tr_mul(g[k][i], inv_pivot)) for k in below]
             factors = [(k, f) for k, f in factors if f.val_or_none() is not None]
             pivot_row = [(j, g[i][j]) for j in range(i, n) if g[i][j].val_or_none() is not None]
@@ -368,55 +345,3 @@ def invariants_via_gram(datum) -> QuadInvariants:
             pass
     raise PrecisionExhausted(f"Gram diagonalization failed up to precision {prec}")
 
-
-# ---------------------------------------------------------------------------
-# brute-force solubility oracle
-
-
-def brute_force_hilbert(a: LeadingTerm, b: LeadingTerm) -> int:
-    """Decide (a, b)_F by searching for solutions of a x^2 + b y^2 = z^2.
-
-    Valuations are first reduced mod 2 by exact square rescaling.  The z = 0
-    branch is the squareness of -a/b; otherwise primitive pairs (x, y) over
-    O/p^2 are enumerated and a x^2 + b y^2 is tested for being a nonzero
-    square from its certified leading term.  For p odd two digits are a
-    sufficient search radius: a unit ratio -b/a that is not a square stops
-    cancellation at depth one.
-    """
-    digits = 2
-    if a.field != b.field or a.field.e != 1 or a.field.f != 1:
-        raise DomainError("solubility oracle runs over the base field")
-    field = a.field
-    a = LeadingTerm(field, a.val % 2, a.residue)
-    b = LeadingTerm(field, b.val % 2, b.residue)
-    ratio_val = a.val - b.val
-    ratio_res = -(a.residue * b.residue.inverse())
-    if ratio_val % 2 == 0 and fq_is_square(ratio_res):
-        return 1  # isotropic with z = 0
-    prec = digits + 3
-    ring = ring_for(field, prec)
-    ta, tb = tr_lift(a, prec), tr_lift(b, prec)
-    p, f0 = field.base_p, field.base_f
-    reps = []
-    for k in range(p ** (f0 * digits)):
-        # k encodes f0 coordinates, each with `digits` base-p digits
-        m = k
-        coeffs = [0] * f0
-        for j in range(digits):
-            for i in range(f0):
-                coeffs[i] += (m % p) * p**j
-                m //= p
-        reps.append(TruncatedElement(field, ring, ring.parts(tuple(coeffs)), 0))
-    for x in reps:
-        xv = x.val_or_none()
-        for y in reps:
-            yv = y.val_or_none()
-            if (xv is None or xv > 0) and (yv is None or yv > 0):
-                continue  # not primitive
-            s = tr_add(tr_mul(ta, tr_mul(x, x)), tr_mul(tb, tr_mul(y, y)))
-            v = s.val_or_none()
-            if v is None or v % 2 != 0:
-                continue
-            if fq_is_square(s.leading_term().residue):
-                return 1
-    return -1

@@ -47,7 +47,6 @@ from .quadform import (
     invariants_of_orthogonal_datum,
     orthogonal_sum,
     so_type,
-    witt_equal,
 )
 from .torusdata import (
     Factor,
@@ -187,7 +186,7 @@ def _lift_zero_block(datum: TorusDatum, uniformizer, taus) -> ThetaResult:
     out = TorusDatum(datum.base, tuple(lifted), POLARITY_ORTHOGONAL)
     target = invariants_of_orthogonal_datum(out)
     predicted, so = parity_predict(datum)
-    if not witt_equal(target, predicted):
+    if target != predicted:
         raise DomainError(
             f"internal cross-check failed: computed {target} vs predicted {predicted}"
         )

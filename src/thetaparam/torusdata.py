@@ -198,19 +198,6 @@ def residue_reduction(datum: TorusDatum):
 # finite Weyl action
 
 
-def weyl_group_order(fd: FiniteTorusDatum) -> int:
-    order = 1
-    for m in fd.entries:
-        order *= 2 * m
-    counts = {}
-    for m in fd.entries:
-        counts[m] = counts.get(m, 0) + 1
-    for c in counts.values():
-        for j in range(2, c + 1):
-            order *= j
-    return order
-
-
 def weyl_orbit(fd: FiniteTorusDatum, chi) -> frozenset:
     """Full orbit of the exponent vector under per-factor signed Frobenius
     twists and permutations of identical factors."""
@@ -297,14 +284,6 @@ def block_decompose(datum: TorusDatum) -> BlockDecomposition:
         (r, tuple(groups[r])) for r in sorted(groups.keys(), reverse=True)
     )
     return BlockDecomposition(levels)
-
-
-def recombine(datum: TorusDatum, decomposition: BlockDecomposition) -> TorusDatum:
-    """Round-trip check helper: rebuild the datum from its blocks."""
-    order = [i for _, ix in decomposition.levels for i in ix]
-    if sorted(order) != list(range(len(datum.factors))):
-        raise DomainError("block decomposition does not partition the factors")
-    return datum.replace_factors(datum.factors[i] for i in sorted(order))
 
 
 # ---------------------------------------------------------------------------

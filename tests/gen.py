@@ -1,4 +1,5 @@
-"""Seeded random generators for datum sweeps.
+"""Seeded random generators for datum sweeps, and small constructors that
+the tests share.
 
 Residue fields are capped at the default size bound, which at p = 7 caps
 the unramified layer at m = 3 (F_{7^8} would exceed it) and over a base
@@ -14,11 +15,16 @@ from thetaparam.localfield import (
     STEP_UNRAMIFIED,
     SYM_ANTI,
     SYM_FIXED,
+    SYM_NONE,
     LeadingTerm,
+    TruncatedElement,
     base_field,
     canonical_tau,
     factor_field,
+    ring_for,
+    square_class,
 )
+from thetaparam.quadform import hilbert_class
 from thetaparam.theta import DistinctionWitness, e_descriptor
 from thetaparam.torusdata import (
     Factor,
@@ -212,3 +218,25 @@ def random_parts(ring, rng):
     """Uniformly random coefficient parts of a truncated element, part 0
     drawn first."""
     return tuple(tuple(rng.randrange(ring.pN) for _ in range(ring.d)) for _ in range(ring.e))
+
+
+def leading_term(field, val, residue_coeffs, sym=SYM_NONE, sigma_sym=SYM_NONE) -> LeadingTerm:
+    """The leading term whose residue has the given coefficients."""
+    return LeadingTerm(field, val, field.residue_field().element(residue_coeffs), sym, sigma_sym)
+
+
+def with_sym(lt: LeadingTerm, sym, sigma_sym=None) -> LeadingTerm:
+    """lt with the step flag sym and, if given, the base flag sigma_sym."""
+    sigma_sym = lt.sigma_sym if sigma_sym is None else sigma_sym
+    return LeadingTerm(lt.field, lt.val, lt.residue, sym, sigma_sym)
+
+
+def hilbert_symbol(a: LeadingTerm, b: LeadingTerm) -> int:
+    """The tame Hilbert symbol (a, b) over the common field of a and b."""
+    return hilbert_class(square_class(a), square_class(b), a.field.residue_field().order)
+
+
+def truncated_int(field, n: int, prec: int) -> TruncatedElement:
+    """The image of the integer n in L's truncated ring at precision prec."""
+    ring = ring_for(field, prec)
+    return TruncatedElement(field, ring, ring.parts(ring.uscale(ring.uone(), n % ring.pN)))

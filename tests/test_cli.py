@@ -227,8 +227,8 @@ def _python(code: str, *args: str) -> str:
 def test_cli_import_leaves_numpy_finitetheta_and_jsonschema_unloaded():
     loaded = _python(
         "import thetaparam.cli, sys; "
-        "print([m for m in ('numpy', 'thetaparam.finitetheta', 'jsonschema', 'dataclasses') "
-        "if m in sys.modules])"
+        "print([m for m in ('numpy', 'thetaparam.finitetheta', 'thetaparam.oracle', 'jsonschema', "
+        "'dataclasses') if m in sys.modules])"
     )
     assert loaded.strip() == "[]"
 
@@ -240,7 +240,7 @@ from thetaparam import cli
 path, out = sys.argv[1:]
 with contextlib.redirect_stdout(io.StringIO()):
     verify_code = cli.main(["finite-verify", "--q", "3"])
-after_verify = [m for m in ("jsonschema", "dataclasses") if m in sys.modules]
+after_verify = [m for m in ("jsonschema", "dataclasses", "thetaparam.oracle") if m in sys.modules]
 validate_code = cli.main(["--out", out, "validate", path])
 import jsonschema
 schema = json.loads(resources.files("thetaparam.schemas").joinpath("datum.schema.json").read_text())
@@ -266,7 +266,7 @@ codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(cli.main(argv))
-print(json.dumps([codes, [m for m in ("jsonschema", "dataclasses") if m in sys.modules]]))
+print(json.dumps([codes, [m for m in ("jsonschema", "dataclasses", "thetaparam.oracle") if m in sys.modules]]))
 """
 
 
@@ -551,6 +551,19 @@ def _domain_error(tmp_path, args, doc):
 def test_gamma_depth_with_zero_denominator_is_a_domain_error(tmp_path):
     doc = _with(WITNESS, lambda d: d["factors"][0]["gamma"][0].update(r="1/0"))
     assert "zero denominator" in _domain_error(tmp_path, ["lift"], doc)
+
+
+@pytest.mark.parametrize("r", ["1" * 5000, "1/" + "3" * 5000])
+def test_gamma_depth_with_too_many_digits_is_a_domain_error(tmp_path, capsys, r):
+    """A depth beyond the interpreter's int-string digit limit gets one
+    DomainError report, not a ValueError traceback."""
+    gamma = [{"r": r, "residue_coeffs": [0, 2]}]
+    doc = _with(DEPTH_ZERO, lambda d: d["factors"][0].update(gamma=gamma))
+    code = main(["validate", write(tmp_path, doc)])
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert (code, report["kind"], err) == (1, "DomainError", "")
+    assert report["error"] == f"factor 0: gamma r = {r} has too many digits"
 
 
 def test_gamma_depth_outside_the_value_group_is_a_domain_error(tmp_path):

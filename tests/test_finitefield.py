@@ -5,7 +5,6 @@ import pytest
 from thetaparam.errors import DomainError
 from thetaparam.finitefield import (
     DegreeTooLarge,
-    DividesInput,
     NotPrime,
     ZeroInput,
     _mulmod,
@@ -14,13 +13,20 @@ from thetaparam.finitefield import (
     fq_canonical_nonsquare,
     fq_embedding,
     fq_is_square,
-    fq_legendre,
     fq_make,
     fq_multiplicative_generator,
     fq_norm1_generator,
     fq_sqrt,
     is_prime,
 )
+
+
+def multiplicative_order(x) -> int:
+    """The least k >= 1 with x^k = 1, by repeated multiplication."""
+    k, y = 1, x
+    while y != x.field.one():
+        k, y = k + 1, y * x
+    return k
 
 
 def test_fq_make_prime_field_degenerate_modulus():
@@ -34,7 +40,7 @@ def test_fq_make_f9_group_order():
     nonzero = [x for x in f9.elements() if not x.is_zero()]
     assert len(nonzero) == 8
     g = fq_multiplicative_generator(f9)
-    assert g.multiplicative_order() == 8
+    assert multiplicative_order(g) == 8
 
 
 def test_fq_make_f25_generator_order_by_enumeration():
@@ -65,8 +71,8 @@ def test_fq_make_deterministic():
 def test_is_square_examples():
     f5 = fq_make(5, 1)
     assert fq_is_square(f5.one())
-    assert not fq_is_square(f5.from_int(2))
-    assert fq_is_square(f5.from_int(-1))  # 2^2 = 4 = -1 mod 5
+    assert not fq_is_square(f5.element([2]))
+    assert fq_is_square(f5.element([-1]))  # 2^2 = 4 = -1 mod 5
     with pytest.raises(ZeroInput):
         fq_is_square(f5.zero())
 
@@ -84,19 +90,11 @@ def test_is_square_multiplicative():
             assert sxy == sx * sy
 
 
-def test_legendre_examples():
-    assert fq_legendre(1, 7) == 1
-    assert fq_legendre(2, 5) == -1
-    assert fq_legendre(-1, 5) == 1
-    with pytest.raises(DividesInput):
-        fq_legendre(10, 5)
-
-
 def test_norm1_generator_orders():
-    assert fq_norm1_generator(fq_make(3, 1), 1).multiplicative_order() == 4
-    assert fq_norm1_generator(fq_make(5, 1), 1).multiplicative_order() == 6
+    assert multiplicative_order(fq_norm1_generator(fq_make(3, 1), 1)) == 4
+    assert multiplicative_order(fq_norm1_generator(fq_make(5, 1), 1)) == 6
     g = fq_norm1_generator(fq_make(3, 1), 2)
-    assert g.multiplicative_order() == 10
+    assert multiplicative_order(g) == 10
     # norm to F_9 via the explicit product of conjugates g * g^{q^m}
     assert g * g**9 == g.field.one()
 

@@ -21,31 +21,25 @@ from thetaparam.localfield import (
     flag_consistent,
     is_norm,
     lt_inv,
-    lt_make,
     lt_mul,
     lt_neg,
-    lt_one,
-    lt_uniformizer_base,
     minus_one_class,
-    relative_conjugate,
     ring_for,
     square_class,
     tr_add,
     tr_conj,
-    tr_from_int,
     tr_inv,
     tr_lift,
     tr_mul,
-    tr_norm_step,
     tr_sub,
-    tr_trace_step,
-    tr_trace_to_base,
     TruncatedElement,
     _make_ring,
     base_coordinates,
 )
+from thetaparam.oracle import relative_conjugate, tr_trace_to_base
 
 import gen
+from gen import leading_term, truncated_int, with_sym
 
 BASE5 = base_field(5)
 L5U = factor_field(BASE5, 1, STEP_UNRAMIFIED)
@@ -66,11 +60,11 @@ def all_leading_units(field, vals=(0, 1)):
 def test_lt_mul_flag_algebra():
     tau = canonical_tau(L5U)
     assert lt_mul(tau, tau).sym == SYM_FIXED  # anti * anti
-    pw = lt_uniformizer_base(L5U)
+    pw = LeadingTerm(L5U, 1, L5U.residue_field().one(), SYM_FIXED, SYM_FIXED)  # p
     c_theta = lt_mul(lt_mul(tau, tau), pw)
     assert c_theta.sym == SYM_FIXED and c_theta.val == 1
     assert lt_mul(tau, pw).sym == SYM_ANTI  # anti * fixed
-    none = tau.with_sym(SYM_NONE)
+    none = with_sym(tau, SYM_NONE)
     assert lt_mul(none, pw).sym == SYM_NONE
 
 
@@ -84,11 +78,11 @@ def test_lt_mul_c_times_gamma_positive_depth_shape():
 
 def test_lt_mul_field_mismatch():
     with pytest.raises(FieldMismatch):
-        lt_mul(canonical_tau(L5U), lt_make(BASE5, 0, [1]))
+        lt_mul(canonical_tau(L5U), leading_term(BASE5, 0, [1]))
 
 
 def test_neg_inv():
-    a = lt_make(L5U, 2, [3, 1], sym=SYM_NONE)
+    a = leading_term(L5U, 2, [3, 1], sym=SYM_NONE)
     assert lt_neg(lt_neg(a)) == a
     inv = lt_inv(a)
     assert inv.val == -2
@@ -100,7 +94,7 @@ def test_neg_inv():
 
 
 def test_relative_conjugate_fixed_input():
-    one = lt_one(L5U)
+    one = LeadingTerm(L5U, 0, L5U.residue_field().one(), SYM_FIXED, SYM_FIXED)
     assert relative_conjugate(one) == one
 
 
@@ -113,7 +107,7 @@ def test_relative_conjugate_unramified_frobenius():
 def test_relative_conjugate_ramified_sign():
     pi_l = LeadingTerm(L5R, 1, L5R.residue_field().one(), SYM_ANTI)
     assert relative_conjugate(pi_l).residue == -pi_l.residue
-    unit = LeadingTerm(L5R, 0, L5R.residue_field().from_int(3))
+    unit = leading_term(L5R, 0, [3])
     assert relative_conjugate(unit) == unit
 
 
@@ -134,7 +128,7 @@ def test_relative_conjugate_involution_and_fixed_points():
 
 def test_no_quadratic_step():
     with pytest.raises(NoQuadraticStep):
-        relative_conjugate(lt_make(BASE5, 0, [1]))
+        relative_conjugate(leading_term(BASE5, 0, [1]))
 
 
 # -- norms
@@ -167,8 +161,7 @@ def enumerate_norm_classes(field, digits=2):
         x = TruncatedElement(field, ring, tuple(parts), 0)
         if x.val_or_none() is None:
             continue
-        nm = tr_norm_step(x)
-        lt = nm.leading_term()
+        lt = tr_mul(x, tr_conj(x)).leading_term()
         v0 = lt.val // 2 if field.e == 2 else lt.val
         classes.add((v0 % 2, lt.residue.coeffs))
     return classes
@@ -208,12 +201,12 @@ def test_is_norm_examples():
             v = y.val_or_none()
             if v is None or v > 2:
                 continue  # the norm would fall outside working precision
-            nm = tr_norm_step(y).leading_term()
+            nm = tr_mul(y, tr_conj(y)).leading_term()
             assert is_norm(LeadingTerm(field, nm.val, nm.residue))
     # unramified: pi has odd valuation, not a norm
-    assert not is_norm(lt_uniformizer_base(L5U))
+    assert not is_norm(LeadingTerm(L5U, 1, L5U.residue_field().one()))
     # ramified: a unit with non-square residue is not a norm
-    assert not is_norm(LeadingTerm(L5R, 0, L5R.residue_field().from_int(2)))
+    assert not is_norm(leading_term(L5R, 0, [2]))
 
 
 def test_no_val0_trace_zero_element_in_ramified_step():
@@ -228,7 +221,7 @@ def test_no_val0_trace_zero_element_in_ramified_step():
             x = TruncatedElement(field, ring, ((a,), (b,)), 0)
             if x.val_or_none() != 0:
                 continue
-            tr = tr_trace_step(x)
+            tr = tr_add(x, tr_conj(x))
             if tr.val_or_none() is None:
                 found = True  # trace vanishes to working precision
     assert not found
@@ -238,9 +231,9 @@ def test_no_val0_trace_zero_element_in_ramified_step():
 
 
 def test_square_class_examples():
-    assert square_class(lt_make(BASE5, 0, [1])).label == "1"
-    assert square_class(lt_make(BASE5, 0, [2])).label == "u"
-    assert square_class(lt_make(BASE5, 1, [1])).label == "pi"
+    assert square_class(leading_term(BASE5, 0, [1])).label == "1"
+    assert square_class(leading_term(BASE5, 0, [2])).label == "u"
+    assert square_class(leading_term(BASE5, 1, [1])).label == "pi"
 
 
 def test_square_class_homomorphism():
@@ -276,7 +269,7 @@ def test_leading_term_is_multiplicative_on_random_truncated():
             if prod.val_or_none() is None:
                 continue
             la, lb = a.leading_term(), b.leading_term()
-            assert prod.leading_term() == lt_mul(la, lb).with_sym(SYM_NONE)
+            assert prod.leading_term() == with_sym(lt_mul(la, lb), SYM_NONE)
 
 
 def test_trace_of_anti_element_vanishes():
@@ -285,19 +278,19 @@ def test_trace_of_anti_element_vanishes():
 
 
 def test_norm_of_subfield_element_is_square():
-    x = tr_from_int(L5U, 7, 6)
+    x = truncated_int(L5U, 7, 6)
     # x lies in L0, so the step norm is x^2
-    assert tr_norm_step(x).leading_term() == tr_mul(x, x).leading_term()
+    assert tr_mul(x, tr_conj(x)).leading_term() == tr_mul(x, x).leading_term()
 
 
 def test_trace_of_one_unramified_quadratic():
-    two = tr_trace_to_base(tr_from_int(L5U, 1, 6))
+    two = tr_trace_to_base(truncated_int(L5U, 1, 6))
     lt = two.leading_term()
-    assert lt.val == 0 and lt.residue == L5U.residue_field().from_int(2)
+    assert lt.val == 0 and lt.residue == L5U.residue_field().element([2])
 
 
 def test_inverse_and_precision():
-    x = tr_from_int(L5U, 35, 8)  # val 1
+    x = truncated_int(L5U, 35, 8)  # val 1
     xi = tr_inv(x)
     prod = tr_mul(x, xi)
     lt = prod.leading_term()
@@ -333,7 +326,7 @@ def test_inverse_and_lift_on_both_layouts(prec):
                   factor_field(base_field(p, 2), 2, STEP_RAMIFIED)]
         for field in fields:
             e = field.e
-            one = tr_from_int(field, 1, prec)
+            one = truncated_int(field, 1, prec)
             for v in range(-3, 4):
                 for _ in range(3):
                     lt, x = _lifted_element(field, v, prec, rng)
@@ -342,7 +335,7 @@ def test_inverse_and_lift_on_both_layouts(prec):
                     xi = tr_inv(x)
                     assert xi.val() == -v
                     prod = tr_mul(x, xi)
-                    assert prod.leading_term() == lt_one(field).with_sym(SYM_NONE, SYM_NONE)
+                    assert prod.leading_term() == LeadingTerm(field, 0, field.residue_field().one())
                     err = tr_sub(prod, one).val_or_none()
                     assert err is None or err >= one.precision - 2 * e * abs(v)
                     assert tr_inv(xi).leading_term() == lt
@@ -352,18 +345,10 @@ def test_inverse_and_lift_on_both_layouts(prec):
 
 def test_sum_precision_is_pessimistic():
     ring = ring_for(L5U, 6)
-    a = tr_from_int(L5U, 1, 6)
-    shifted = tr_mul(a, tr_inv(tr_from_int(L5U, 25, 6)))  # shift 2
+    a = truncated_int(L5U, 1, 6)
+    shifted = tr_mul(a, tr_inv(truncated_int(L5U, 25, 6)))  # shift 2
     s = tr_add(a, shifted)
     assert s.precision <= shifted.precision
-
-
-def test_expansion_strictly_increasing():
-    x = tr_from_int(L5R, 30, 6)  # 30 = 5 * 6: val_L = 2
-    exp = x.expansion()
-    vals = [v for v, _ in exp]
-    assert vals == sorted(vals) and len(set(vals)) == len(vals)
-    assert vals[0] == 2
 
 
 def _valuation_from_parts(x):

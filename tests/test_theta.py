@@ -23,7 +23,6 @@ from thetaparam.quadform import (
     invariants_of_orthogonal_datum,
     invariants_via_gram,
     orthogonal_sum,
-    witt_equal,
 )
 from thetaparam.theta import (
     DistinctionWitness,
@@ -75,7 +74,7 @@ def test_lift_depth_zero_pinned_example():
     f = res.lifted.factors[0]
     assert f.c.val == 1 and f.c.sym == SYM_FIXED
     k = L5U.residue_field()
-    u_embedded = fq_embedding(fq_make(5, 1), k).apply(fq_make(5, 1).from_int(2))
+    u_embedded = fq_embedding(fq_make(5, 1), k).apply(fq_make(5, 1).element([2]))
     assert f.c.residue == u_embedded  # tau^2 = u = 2
     assert f.chi0 == (-1) % 6
     assert res.target_invariants == QuadInvariants(2, SQ_U, -1)
@@ -140,7 +139,7 @@ def test_parity_predict_table():
         assert inv.disc == disc and inv.hasse == hasse, (vals, inv)
         assert so.label == label
         res = lift_depth_zero(d)
-        assert witt_equal(res.target_invariants, inv)
+        assert res.target_invariants == inv
 
 
 def test_lifted_exponents_are_negated_and_involutive():
@@ -163,15 +162,15 @@ def test_lifted_exponents_are_negated_and_involutive():
 def test_lift_positive_block_flag_algebra():
     assert sym_compose(SYM_ANTI, SYM_ANTI) == SYM_FIXED
     lr = factor_field(BASE5, 1, STEP_RAMIFIED)
-    c = LeadingTerm(lr, 1, lr.residue_field().from_int(1), SYM_ANTI)
-    g = (Fraction(1, 2), LeadingTerm(lr, -1, lr.residue_field().from_int(2), SYM_ANTI))
+    c = LeadingTerm(lr, 1, lr.residue_field().element([1]), SYM_ANTI)
+    g = (Fraction(1, 2), LeadingTerm(lr, -1, lr.residue_field().element([2]), SYM_ANTI))
     d = TorusDatum(BASE5, (Factor(1, STEP_RAMIFIED, c, 1, (g,)),), POLARITY_SYMPLECTIC)
     res = lift_positive_block(d)
     f = res.lifted.factors[0]
     assert f.c.sym == SYM_FIXED and f.c.val == 0
     assert f.chi0 == 1  # inverted mod 2
     assert f.gamma_levels[0][1].residue == -g[1].residue
-    assert witt_equal(invariants_via_gram(res.lifted), res.target_invariants)
+    assert invariants_via_gram(res.lifted) == res.target_invariants
 
 
 def test_lift_positive_block_unramified_valuation():
@@ -209,7 +208,7 @@ def test_lift_blockwise_consistency():
         d = gen.random_mixed_datum(rng.choice([5, 7]), rng, 4)
         res = lift(d)
         assert res.target_invariants.dim == 2 * d.n
-        assert witt_equal(res.target_invariants, res.predicted_invariants)
+        assert res.target_invariants == res.predicted_invariants
         assert validate(res.lifted).ok
         # every lifted c is fixed-flagged
         assert all(f.c.sym == SYM_FIXED for f in res.lifted.factors)
@@ -243,7 +242,7 @@ def test_lift_five_factor_depth_zero_datum():
     d = TorusDatum(BASE5, factors, POLARITY_SYMPLECTIC)
     res = lift(d)
     assert res.target_invariants.dim == 30
-    assert witt_equal(res.target_invariants, parity_predict(d)[0])
+    assert res.target_invariants == parity_predict(d)[0]
     # 5 = 5 * 1 lies in the orbit of 1, so the factors 1 and 5 collide
     same_orbit = d.replace_factors(factors[:4] + (Factor(3, STEP_UNRAMIFIED, tau, 5),))
     assert validate(same_orbit).violations == [
@@ -256,8 +255,8 @@ def test_lift_pure_blocks_match_special_cases():
     d0 = gen.random_depth_zero_datum(5, rng, 3)
     assert lift(d0).lifted == lift_depth_zero(d0).lifted
     lr = factor_field(BASE5, 1, STEP_RAMIFIED)
-    c = LeadingTerm(lr, 1, lr.residue_field().from_int(1), SYM_ANTI)
-    g = (Fraction(1, 2), LeadingTerm(lr, -1, lr.residue_field().from_int(2), SYM_ANTI))
+    c = LeadingTerm(lr, 1, lr.residue_field().element([1]), SYM_ANTI)
+    g = (Fraction(1, 2), LeadingTerm(lr, -1, lr.residue_field().element([2]), SYM_ANTI))
     dp = TorusDatum(BASE5, (Factor(1, STEP_RAMIFIED, c, 1, (g,)),), POLARITY_SYMPLECTIC)
     assert lift(dp).lifted == lift_positive_block(dp).lifted
 
@@ -271,7 +270,7 @@ def test_choice_independence_sample():
             uni, taus = seeded_choices(d, seed)
             results.append(lift(d, uni, taus))
         for other in results[1:]:
-            assert witt_equal(results[0].target_invariants, other.target_invariants)
+            assert results[0].target_invariants == other.target_invariants
             assert datum_equivalent(results[0].lifted, other.lifted)
 
 
@@ -317,7 +316,7 @@ def test_invalid_witness_unramified_or_even_m():
     # unramified step: E sits inside K
     field = factor_field(e_base, 1, STEP_UNRAMIFIED)
     tau = canonical_tau(field)
-    c = tau.with_sym(SYM_ANTI, SYM_FIXED)
+    c = gen.with_sym(tau, SYM_ANTI, SYM_FIXED)
     bad = DistinctionWitness(
         base_f, TorusDatum(e_base, (Factor(1, STEP_UNRAMIFIED, c, 1),), POLARITY_SYMPLECTIC)
     )

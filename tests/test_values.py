@@ -28,7 +28,6 @@ from thetaparam.localfield import (
     TruncatedElement,
     base_field,
     factor_field,
-    lt_make,
     ring_for,
 )
 from thetaparam.quadform import QuadInvariants, SOType
@@ -96,7 +95,7 @@ K25 = fq_make(5, 2)
 
 def _instances():
     datum = TorusDatum(
-        BASE5, (Factor(1, STEP_UNRAMIFIED, lt_make(L5U, 0, [0, 2], "anti"), 1),), POLARITY_SYMPLECTIC
+        BASE5, (Factor(1, STEP_UNRAMIFIED, gen.leading_term(L5U, 0, [0, 2], "anti"), 1),), POLARITY_SYMPLECTIC
     )
     witness = gen.random_witness(5, random.Random(1), 1)
     pair = dual_pair(3, "+")
