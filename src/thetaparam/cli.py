@@ -471,8 +471,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: dict, out_path: str | None):
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+def _render(report: dict) -> str:
+    try:
+        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    except ValueError as ex:  # an int longer than sys.get_int_max_str_digits()
+        raise DomainError(f"the report cannot be written: {ex}") from None
+
+
+def _emit(text: str, out_path: str | None):
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -489,14 +495,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report, code = args.func(args)
+        text = _render(report)
     except SchemaError as ex:
-        report, code = _error(ex, "schema"), 2
+        text, code = _render(_error(ex, "schema")), 2
     except DomainError as ex:
-        report, code = _error(ex, type(ex).__name__), 1
+        text, code = _render(_error(ex, type(ex).__name__)), 1
     try:
-        _emit(report, args.out)
+        _emit(text, args.out)
     except OSError as ex:  # an unwritable --out: the error goes to stdout
-        _emit(_error(f"cannot write {args.out}: {ex}", "schema"), None)
+        _emit(_render(_error(f"cannot write {args.out}: {ex}", "schema")), None)
         return 2
     return code
 

@@ -5,19 +5,25 @@ builds the oscillator representation explicitly in the Schroedinger model
 (functions on V, dimension q^2): the orthogonal group permutes V, the
 upper unipotent n(b) acts by the quadratic character multiplication
 psi(b Q(v)), and the Weyl element acts by the finite Fourier transform
-whose scalar normalization is pinned by the group relations
-(n(1) w)^3 = w^4 = 1 and then verified exhaustively.
+times a sign pinned by the group relations (n(1) w)^3 = w^4 = 1, after
+which the whole representation is verified exhaustively.
 
 Deligne-Lusztig characters of SL2(q) (discrete and principal series in
 general position) and the induced characters of the dihedral groups
-O(V+-)(q) are provided in closed form, checked against the numerical
-character tables of thetaparam.oracle, and fed into multiplicity sums that
+O(V+-)(q) are provided in closed form, checked against the closed-form
+character table of thetaparam.oracle, and fed into multiplicity sums that
 verify the rank-one theta pattern: a regular nonsplit-torus character lifts
 with multiplicity one to the anisotropic pair and vanishes on the split pair.
 
+The arithmetic is exact.  With psi(t) = zeta_q^t every value lies in
+Z[zeta_N], N = lcm(q, q - 1, q + 1): q S_g over Z[zeta_q] and characters
+over Z[zeta_N] are integer coefficient arrays reduced mod the cyclotomic
+polynomial, every check is `==`, and a multiplicity is an integer or a
+NonIntegralMultiplicity.
+
 Every group element is a small-int numpy matrix keyed by the int64 code of
 its entries.  SL2(q) and O(V) are MatrixGroups: their elements in code
-order with a table of products, so class functions are vectors in that
+order with a table of products, so class functions are arrays in that
 order and conjugation, inverses and classes are table lookups.  The
 Weyl-form checks close matrix groups over F_q breadth-first on codes, and
 find torus normalizers by the inverse-free test g t = t' g: one exact pass,
@@ -26,7 +32,6 @@ with no matrix inverse.
 
 from __future__ import annotations
 
-import cmath
 from collections import Counter
 from functools import lru_cache
 
@@ -47,14 +52,6 @@ class NonIntegralMultiplicity(DomainError):
 
 class VerificationFailure(DomainError):
     pass
-
-
-MULT_TOL = 1e-6
-MAT_TOL = 1e-8
-
-
-def _psi(q):
-    return lambda t: cmath.exp(2j * cmath.pi * (t % q) / q)
 
 
 # ---------------------------------------------------------------------------
@@ -119,12 +116,6 @@ class BinarySpace(Value):
         return ((g[0][0] * v[0] * v[0] + g[1][1] * v[1] * v[1]) * pow(2, -1, self.q)
                 + g[0][1] * v[0] * v[1]) % self.q
 
-    def bilinear(self, u, v) -> int:
-        g = self.gram
-        return (
-            g[0][0] * u[0] * v[0] + g[0][1] * (u[0] * v[1] + u[1] * v[0]) + g[1][1] * u[1] * v[1]
-        ) % self.q
-
     def vectors(self):
         return [(a, b) for a in range(self.q) for b in range(self.q)]
 
@@ -155,15 +146,8 @@ class FiniteDualPair(Value):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(
-        self,
-        q: int,
-        variant: str,
-        space: BinarySpace,
-        sl2: MatrixGroup,
-        o2: MatrixGroup,
-        rotations: np.ndarray,
-    ):
+    def __init__(self, q: int, variant: str, space: BinarySpace, sl2: MatrixGroup, o2: MatrixGroup,
+                 rotations: np.ndarray):
         set_field(self, "q", q)
         set_field(self, "variant", variant)
         set_field(self, "space", space)
@@ -236,105 +220,179 @@ def dual_pair(q: int, variant: str) -> FiniteDualPair:
 
 
 # ---------------------------------------------------------------------------
+# cyclotomic integers
+#
+# A number of Z[zeta_n] is an integer array whose last axis holds the
+# coefficients of zeta_n^0 .. zeta_n^(n-1), zeta_n = exp(2 pi i / n),
+# canonical when reduced mod the cyclotomic polynomial Phi_n (coefficients
+# from phi(n) on are 0): equal numbers are equal arrays, and sums of
+# canonical arrays are canonical.
+
+
+def _order(q: int) -> int:
+    """N = lcm(q, q - 1, q + 1) for odd q; every value lies in Z[zeta_N]."""
+    return q * (q * q - 1) // 2
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_polynomial(n: int) -> np.ndarray:
+    """Phi_n, constant term first: x^n - 1 over Phi_d for each d < n dividing n."""
+    p = np.zeros(n + 1, dtype=np.int64)
+    p[[0, n]] = -1, 1
+    for m in (_cyclotomic_polynomial(d) for d in range(1, n) if n % d == 0):
+        for i in range(len(p) - len(m), -1, -1):  # synthetic division by the monic m
+            p[i : i + len(m) - 1] -= p[i + len(m) - 1] * m[:-1]
+        p = p[len(m) - 1 :]  # the quotient; the remainder is 0
+    return p
+
+
+@lru_cache(maxsize=None)
+def _reduction(n: int) -> np.ndarray:
+    """R with a @ R the canonical form of a: row k is the canonical zeta_n^k."""
+    phi = _cyclotomic_polynomial(n)
+    k = len(phi) - 1
+    rows = np.zeros((n, n), dtype=np.int64)
+    rows[:k, :k] = np.eye(k, dtype=np.int64)
+    for j in range(k, n):
+        rows[j, 1:] = rows[j - 1, :-1]
+        rows[j, : k + 1] -= rows[j, k] * phi
+    rows.flags.writeable = False
+    return rows
+
+
+def _conj(a: np.ndarray) -> np.ndarray:
+    """The conjugate, zeta^k -> zeta^-k; not canonical."""
+    n = a.shape[-1]
+    return a[..., -np.arange(n) % n]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_i a[i] b[i] in Z[zeta_n], canonical, for integer-valued arrays a
+    and b of shape (k, n).  The float64 products are exact while
+    k n max|a| max|b| < 2^53, which bounds every partial sum."""
+    n = a.shape[-1]
+    m = a.T.astype(float) @ b.astype(float)  # m[s, r]: the coefficient of zeta^(s + r)
+    return np.bincount(_exponent_sums(n), m.ravel(), n).astype(np.int64) @ _reduction(n)
+
+
+@lru_cache(maxsize=None)
+def _exponent_sums(n: int) -> np.ndarray:
+    return ((np.arange(n)[:, None] + np.arange(n)) % n).ravel()
+
+
+# ---------------------------------------------------------------------------
 # oscillator representation
 
 
 class RepMatrixSet(Record):
     """The oscillator representation on functions on V, with every array in
-    the element order of pair.sl2 and pair.o2.
+    the element order of pair.sl2 and pair.o2, exact over Z[zeta_q].
 
-    sp[i] is the matrix of the i-th element g of SL2(q); the j-th element h
-    of O(V) acts by the index permutation f -> f[perm[j]], which commutes
-    with every sp[i].  traces[i, j] = sum_k sp[i, k, perm[j, k]] is the
-    trace of the pair (g, h^-1), equal to that of (g, h) because h and h^-1
-    are conjugate in the dihedral group O(V).
+    sp[i] is q times the matrix S_g of the i-th element g of SL2(q); the
+    j-th element h of O(V) acts by the index permutation f -> f[perm[j]],
+    which commutes with every sp[i].  traces[i, j] = sum_k sp[i, k, perm[j, k]]
+    is q times the trace of the pair (g, h^-1), equal to that of (g, h)
+    because h and h^-1 are conjugate in the dihedral group O(V).
     """
 
     __slots__ = _fields = ("pair", "sp", "perm", "traces")
 
     def __init__(self, pair: FiniteDualPair, sp: np.ndarray, perm: np.ndarray, traces: np.ndarray):
         self.pair = pair
-        self.sp = sp  # (|SL2|, d, d) complex
+        self.sp = sp  # (|SL2|, d, d, q) int8, canonical
         self.perm = perm  # (|O|, d) int
-        self.traces = traces  # (|SL2|, |O|) complex
-
-
-def _scalar_of(mat, dim) -> complex:
-    lam = mat[0, 0]
-    if np.max(np.abs(mat - lam * np.eye(dim))) > MAT_TOL:
-        raise NormalizationFailure("matrix is not scalar where a relation demands it")
-    return complex(lam)
+        self.traces = traces  # (|SL2|, |O|, q) int16, canonical
 
 
 def build_weil_rep(q: int, variant: str) -> RepMatrixSet:
     """Construct the oscillator representation for the pair (SL2(q), O(V)).
 
-    The unipotent action is exact; the Fourier candidate for the Weyl
-    element carries an unknown scalar c, pinned uniquely by
-    (n(1) w)^3 = 1 and w^4 = 1 (as c = mu3 / mu4 for the measured scalar
-    defects), after which the whole group is generated breadth-first with
-    every Cayley collision checked, and commutation with the permutation
-    action of every element of O(V) is verified on every element of SL2(q).
+    With psi(t) = zeta_q^t, q n(b) is diagonal with entries q psi(b Q(v))
+    and q w = c F for the Fourier matrix F[v, u] = psi(B(v, u)) and a sign
+    c, pinned as the one for which (n(1) w)^3 = 1 and w^4 = 1 hold exactly.
+    The whole group is then generated breadth-first, with every Cayley
+    collision checked, and commutation with the permutation action of every
+    element of O(V) is checked on every element of SL2(q).
     """
     pair = dual_pair(q, variant)
     space = pair.space
-    psi = _psi(q)
     vecs = space.vectors()
     dim = len(vecs)
+    red = _reduction(q)
+    quad = np.array([space.quad(v) for v in vecs])
+    # F[v, u] = F1[v0, u'0] F1[v1, u'1] for u' = G u, the polar Gram matrix G,
+    # and F1[a, b] = zeta^(a b).  F1 acts on (index, coefficient) pairs by
+    # right multiplication with f1: row (b, t), column (a, s) holds the
+    # coefficient of zeta^s in the canonical zeta^(t + a b)
+    gu = np.array(vecs) @ np.array(space.gram) % q
+    by_gu = np.argsort(gu[:, 0] * q + gu[:, 1])  # u with G u = u', in the order of u'
+    ab = np.arange(q)[:, None, None] * np.arange(q)
+    f1 = red[(ab + np.arange(q)[:, None]) % q].reshape(q * q, q * q).astype(float)
+    # the unipotent n(b) turns zeta^t in row v into zeta^(t + b Q(v)): entry
+    # (v, j, s) of q S_(n(b) g) is entry source[b - 1, (v, j, s)] of q S_g
+    shifts = (np.arange(q) - np.arange(1, q)[:, None, None] * quad[:, None]) % q
+    rows = np.arange(dim)[:, None, None] * dim + np.arange(dim)[:, None]
+    source = (rows * q + shifts[:, :, None]).reshape(q - 1, -1)
 
-    def n_mat(b):
-        return np.diag([psi(b * space.quad(v)) for v in vecs])
+    def w_act(x):
+        """q S_(w0 g) from the arrays x = q S_g, w0 = F / q, by F1 on u'1
+        and then on u'0.  The float64 products are exact: their operands are
+        integers, and a partial sum adds at most q^2 terms of size at most
+        2q, then q^2 of size at most 2q^3, so stays below 2 q^5 = 6250 < 2^53."""
+        k = len(x)  # a product per element: one large product would split across threads
+        y = x[:, by_gu].reshape(k, q, q, dim, q).transpose(0, 1, 3, 2, 4).reshape(k, -1, q * q)
+        y = (y.astype(float) @ f1).reshape(k, q, dim, q, q).transpose(0, 2, 3, 1, 4)
+        y = (y.reshape(k, -1, q * q) @ f1).astype(np.int32).reshape(k, dim, q, q, q)  # j, v1, v0, s
+        z = y // q
+        if (z * q != y).any() or (np.abs(z) > q).any():
+            raise NormalizationFailure("q S_g leaves the coefficients in [-q, q] of Z[zeta_q]")
+        return z.astype(np.int8).transpose(0, 3, 2, 1, 4).reshape(k, dim, dim, q)
 
-    fourier = np.array(
-        [[psi(space.bilinear(v, u)) for u in vecs] for v in vecs], dtype=complex
-    ) / q
+    def n_act(x):
+        """q S_(n(b) g) for b = 1 .. q - 1, stacked, from the arrays x = q S_g."""
+        y = x.reshape(len(x), -1)[:, source].reshape(len(x), q - 1, dim, dim, q).swapaxes(0, 1)
+        return (y - y[..., -1:]).reshape(-1, dim, dim, q)  # mod Phi_q = 1 + ... + x^(q-1)
 
-    n1 = n_mat(1)
-    mu3 = _scalar_of(np.linalg.matrix_power(n1 @ fourier, 3), dim)
-    mu4 = _scalar_of(np.linalg.matrix_power(fourier, 4), dim)
-    c = mu3 / mu4
-    w_mat = c * fourier
-    if (
-        np.max(np.abs(np.linalg.matrix_power(n1 @ w_mat, 3) - np.eye(dim))) > MAT_TOL
-        or np.max(np.abs(np.linalg.matrix_power(w_mat, 4) - np.eye(dim))) > MAT_TOL
-    ):
+    one = (q * np.eye(dim, dtype=np.int8))[..., None] * red[0].astype(np.int8)  # q I
+    cube, fourth = one[None], one[None]
+    for _ in range(3):
+        cube = n_act(w_act(cube))[:1]
+    for _ in range(4):
+        fourth = w_act(fourth)
+    c = next((c for c in (1, -1) if np.array_equal(c * cube[0], one)), 0)
+    if not c or not np.array_equal(fourth[0], one):
         raise NormalizationFailure("relation normalization failed")
 
     sl2 = pair.sl2
     gens = sl2.index([[[0, 1], [-1, 0]]] + [[[1, b], [0, 1]] for b in range(1, q)])
-    gen_mats = [w_mat] + [n_mat(b) for b in range(1, q)]
-
-    sp = np.empty((len(sl2.elements), dim, dim), dtype=complex)
-    sp[sl2.identity] = np.eye(dim)
+    sp = np.zeros((len(sl2.elements), dim, dim, q), dtype=np.int8)
+    sp[sl2.identity] = one
     reached = np.zeros(len(sp), dtype=bool)
     reached[sl2.identity] = True
-    frontier = [sl2.identity]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for gk, gm in zip(gens, gen_mats):
-                new = sl2.mul[gk, cur]
-                cand = gm @ sp[cur]
-                if reached[new]:
-                    if np.max(np.abs(sp[new] - cand)) > MAT_TOL:
-                        raise NormalizationFailure("inconsistent Cayley collision")
-                else:
-                    sp[new] = cand
-                    reached[new] = True
-                    nxt.append(new)
-        frontier = nxt
+    queue = np.array([sl2.identity])
+    while len(queue):  # 16 elements at a time keep the float temporaries near 1 MB
+        batch, queue = queue[:16], queue[16:]
+        x = sp[batch]
+        cand = np.concatenate([c * w_act(x), n_act(x)])
+        targets = sl2.mul[gens[:, None], batch].ravel()
+        fresh = ~reached[targets]
+        sp[targets[fresh]] = cand[fresh]
+        reached[targets] = True
+        if (sp[targets] != cand).any():
+            raise NormalizationFailure("inconsistent Cayley collision")
+        queue = np.concatenate([queue, np.flatnonzero(np.bincount(targets[fresh], minlength=len(sp)))])
     if not reached.all():
         raise NormalizationFailure("generators did not reach the whole group")
 
     # vectors are in code order, so h acts by the argsort of the codes of h v
     hv = pair.o2.elements @ np.array(vecs).T % q
     perm = np.argsort(hv[:, 0] * q + hv[:, 1], axis=1)
-    # P S P^-1 = S entrywise for each g and the permutation matrix P of each perm;
-    # one g at a time keeps the temporaries at |O| d^2 entries
-    for s in sp:
-        if np.max(np.abs(s[perm[:, :, None], perm[:, None, :]] - s)) > MAT_TOL:
+    # P S P^-1 = S entrywise for each g and the permutation matrix P of each perm
+    for p in perm:
+        if (sp.take(p, axis=1).take(p, axis=2) != sp).any():
             raise NormalizationFailure("Sp and O actions do not commute")
-    return RepMatrixSet(pair, sp, perm, sp[:, np.arange(dim), perm].sum(-1))
+    traces = sp[:, np.arange(dim), perm].sum(axis=2, dtype=np.int16)
+    return RepMatrixSet(pair, sp, perm, traces)
 
 
 # ---------------------------------------------------------------------------
@@ -343,27 +401,25 @@ def build_weil_rep(q: int, variant: str) -> RepMatrixSet:
 
 class ClassFunction(Record):
     """A class function given by its values on the elements of a group, in
-    their order."""
+    their order: values[i] is canonical in Z[zeta_N], N = _order(group.q)."""
 
     __slots__ = _fields = ("group", "values", "label")
 
     def __init__(self, group: MatrixGroup, values: np.ndarray, label: str):
         self.group = group
-        self.values = values  # complex
+        self.values = values  # (|G|, N) int
         self.label = label
 
-    def degree(self) -> complex:
-        return self.values[self.group.identity]
-
-    def close_to(self, other: "ClassFunction") -> bool:
-        return bool(np.all(np.abs(self.values - other.values) < MULT_TOL))
+    def degree(self) -> int:
+        return int(self.values[self.group.identity, 0])
 
 
 @lru_cache(maxsize=None)
-def _cyclic_sums(k: int, n: int) -> np.ndarray:
-    """zeta^(kj) + zeta^(-kj) for j = 0 .. n - 1, zeta = exp(2 pi i / n)."""
-    zeta = cmath.exp(2j * cmath.pi / n)
-    sums = np.array([zeta ** (k * j) + zeta ** (-k * j) for j in range(n)])
+def _cyclic_sums(k: int, n: int, big: int) -> np.ndarray:
+    """zeta_n^(kj) + zeta_n^(-kj) for j = 0 .. n - 1, canonical in Z[zeta_big]
+    for a multiple big of n."""
+    e = k * (big // n) * np.arange(n)
+    sums = _reduction(big)[e % big] + _reduction(big)[-e % big]
     sums.flags.writeable = False
     return sums
 
@@ -381,17 +437,18 @@ def dl_regular_character(q: int, torus: str, exponent: int) -> ClassFunction:
     if (2 * exponent) % n == 0:
         raise NotGeneralPositionFinite(f"exponent {exponent} mod {n} is not regular")
     sign = 1 if torus == "split" else -1
-    sums = _cyclic_sums(exponent, n)
+    big = _order(q)
+    sums = _cyclic_sums(exponent, n, big)
     # regular[tr] = sign (zeta^(kj) + zeta^(-kj)) for tr = t^j + t^-j, 0 < j < n/2
-    regular = np.zeros(q, dtype=complex)
+    regular = np.zeros((q, big), dtype=np.int64)
     for j in range(1, n // 2):
         regular[(t ** j + t ** -j).coeffs[0]] = sign * sums[j]
     sl2 = dual_pair(q, "-").sl2
     a, b, c, d = sl2.elements.reshape(-1, 4).T.astype(np.int64)
     tr = (a + d) % q
     chi_z = np.where(tr == 2, 1, (-1) ** (exponent % 2))  # chi(z) for z = +-I, on +-unipotents
-    values = np.where((tr == 2) | (tr == q - 2),
-                      chi_z * np.where((b == 0) & (c == 0), q + sign, sign), regular[tr])
+    ints = (chi_z * np.where((b == 0) & (c == 0), q + sign, sign))[:, None] * _reduction(big)[0]
+    values = np.where(((tr == 2) | (tr == q - 2))[:, None], ints, regular[tr])
     return ClassFunction(sl2, values, f"{'ps' if sign == 1 else 'ds'}[{exponent}]")
 
 
@@ -420,7 +477,7 @@ def o2_induced_character(pair: FiniteDualPair, exponent: int) -> ClassFunction:
     if (2 * exponent) % n == 0:
         raise NotGeneralPositionFinite(f"exponent {exponent} mod {n} does not induce irreducibly")
     j, refl = _o2_decompose(pair)
-    values = np.where(refl, 0, _cyclic_sums(exponent, n)[j])
+    values = np.where(refl[:, None], 0, _cyclic_sums(exponent, n, _order(pair.q))[j])
     return ClassFunction(pair.o2, values, f"ind[{exponent}]")
 
 
@@ -431,12 +488,9 @@ def o2_one_dimensionals(pair: FiniteDualPair):
     if n % 2:
         raise VerificationFailure("rotation order should be even for odd q")
     j, refl = _o2_decompose(pair)
-    return [
-        ClassFunction(pair.o2, (rot_sign**j * np.where(refl, refl_sign, 1)).astype(complex),
-                      f"lin[{rot_sign},{refl_sign}]")
-        for rot_sign in (1, -1)
-        for refl_sign in (1, -1)
-    ]
+    one = _reduction(_order(pair.q))[0]
+    return [ClassFunction(pair.o2, (rot**j * np.where(refl, ref, 1))[:, None] * one,
+                          f"lin[{rot},{ref}]") for rot in (1, -1) for ref in (1, -1)]
 
 
 def o2_irreducibles(pair: FiniteDualPair):
@@ -457,12 +511,24 @@ def sl2_regular_exponents(q: int):
 
 
 def theta_multiplicity(rep: RepMatrixSet, pi: ClassFunction, rho: ClassFunction) -> int:
-    """Multiplicity of pi x rho in the oscillator representation:
-    the normalized double character sum, with an integrality assertion."""
-    total = complex(np.conj(pi.values) @ rep.traces @ np.conj(rho.values)) / rep.traces.size
-    m = round(total.real)
-    if abs(total - m) > MULT_TOL or m < 0:
-        raise NonIntegralMultiplicity(f"<omega, {pi.label} x {rho.label}> = {total}")
+    """Multiplicity of pi x rho in the oscillator representation: the double
+    character sum of q tr(S_g P_h) conj(pi(g)) conj(rho(h)) over
+    SL2(q) x O(V), exact in Z[zeta_N], must be m q |SL2| |O| for an integer
+    m >= 0, which is returned."""
+    n_g, n_h, q = rep.traces.shape
+    big = pi.values.shape[-1]
+    # zeta_q^t conj(rho(h)), zeta_q = zeta_N^(N / q), times the traces, summed over h
+    # and t for every g.  The float64 sums are exact: coefficients are at most q^3 in
+    # traces and q + 1 < 2^4 in characters (at most q + 1 roots of unity, each with
+    # coefficients in {-1, 0, 1}), so partial sums stay below |O| q^4 2^4 < 2^18 here
+    # and 2^18 |SL2| N 2^4 < 2^42 in _dot.
+    rho_t = rho.values[:, (big // q * np.arange(q)[:, None] - np.arange(big)) % big]
+    per_g = rep.traces.reshape(n_g, n_h * q).astype(float) @ rho_t.reshape(n_h * q, big)
+    total = _dot(per_g, _conj(pi.values))
+    size = q * n_g * n_h
+    m, rest = divmod(int(total[0]), size)
+    if rest or total[1:].any() or m < 0:
+        raise NonIntegralMultiplicity(f"<omega, {pi.label} x {rho.label}> = {total.tolist()} / {size}")
     return m
 
 
@@ -481,7 +547,7 @@ def verify_finite_theta(q: int) -> dict:
         pi_inv = dl_regular_character(q, "nonsplit", (q + 1) - k)
         entry = {
             "exponent": k,
-            "inverse_pair_identical": pi.close_to(pi_inv),
+            "inverse_pair_identical": np.array_equal(pi.values, pi_inv.values),
             "minus": [],
             "plus": [],
         }
@@ -497,11 +563,8 @@ def verify_finite_theta(q: int) -> dict:
             if m:
                 entry.setdefault("unexpected_plus", []).append(rho.label)
         expected = o2_induced_character(pair_minus, k)
-        entry["matched"] = (
-            len(hits) == 1
-            and hits[0][1] == 1
-            and hits[0][0].close_to(expected)
-        )
+        entry["matched"] = (len(hits) == 1 and hits[0][1] == 1
+                            and np.array_equal(hits[0][0].values, expected.values))
         if not entry["matched"] or entry.get("unexpected_plus") or not entry["inverse_pair_identical"]:
             report["ok"] = False
         report["characters"].append(entry)
@@ -588,12 +651,7 @@ def _torus_matrices_in_sp4(q: int):
     # basis 1, x, x^2, x^3 of F_{q^4}; c with c^{q^2} = -c
     x = big.gen()
     basis = [big.one(), x, x * x, x * x * x]
-    cand = None
-    for e in big.elements():
-        if not e.is_zero() and e ** (q * q) == -e:
-            cand = e
-            break
-    c = cand
+    c = next(e for e in big.elements() if not e.is_zero() and e ** (q * q) == -e)
 
     def tr_to_base(z):
         acc = big.zero()

@@ -17,8 +17,12 @@ from .finitefield import fq_is_square
 from .finitetheta import (
     ClassFunction,
     MatrixGroup,
-    VerificationFailure,
+    _order,
+    _reduction,
     build_weil_rep,
+    dl_regular_character,
+    dual_pair,
+    o2_irreducibles,
     theta_multiplicity,
 )
 from .localfield import (
@@ -130,7 +134,7 @@ def weyl_group_order(fd: FiniteTorusDatum) -> int:
 
 
 # ---------------------------------------------------------------------------
-# numerical character tables (class-algebra eigenvectors) and group tools
+# conjugacy classes and the character table of SL2(q)
 
 
 def conjugacy_classes(group: MatrixGroup):
@@ -142,39 +146,40 @@ def conjugacy_classes(group: MatrixGroup):
     return classes
 
 
-def numerical_character_table(group: MatrixGroup):
-    """Irreducible characters of a small matrix group, via simultaneous
-    eigenvectors of the class-sum multiplication matrices."""
-    classes = conjugacy_classes(group)
-    ncl = len(classes)
-    cls_of = np.empty(len(group.elements), dtype=int)
-    for ci, cl in enumerate(classes):
-        cls_of[cl] = ci
-    reps = [cl[0] for cl in classes]
-    # class multiplication: tables[i, j, k] counts the x in C_i with x^-1 z_k
-    # in C_j, z_k the representative of C_k
-    tables = np.zeros((ncl, ncl, ncl))
-    for i, cl in enumerate(classes):
-        ys = cls_of[group.mul[group.inverse[cl][:, None], reps]]
-        np.add.at(tables[i], (ys, np.arange(ncl)), 1)
-    rng = np.random.default_rng(1)
-    for _ in range(8):
-        coeffs = rng.standard_normal(ncl)
-        m = sum(c * tables[i] for i, c in enumerate(coeffs))
-        vals, vecs = np.linalg.eig(m)
-        if np.min(np.abs(vals[:, None] - vals[None, :]) + np.eye(ncl)) > 1e-6:
-            break
-    else:
-        raise VerificationFailure("could not split the class algebra")
-    sizes = np.array([len(cl) for cl in classes], dtype=float)
-    chars = []
-    for t in range(ncl):
-        v = vecs[:, t]
-        v = v / v[0]  # central character values omega_j, normalized at 1
-        # chi_j = d * omega_j / |C_j| with d fixed by sum |C_j||chi_j|^2 = |G|
-        norm = float(np.real(np.sum(v * np.conj(v) / sizes)))
-        d = (len(group.elements) / norm) ** 0.5
-        chars.append(ClassFunction(group, (d * v / sizes)[cls_of], "num"))
+def sl2_character_table(q: int):
+    """The q + 4 irreducible characters of SL2(q) in closed form (Fulton and
+    Harris, Representation Theory, 5.2; Bonnafe, Representations of SL2(F_q),
+    2011): the trivial and Steinberg characters, the principal and discrete
+    series of dl_regular_character, and the two halves of degree (q + s) / 2
+    of the reducible series, s = 1 (principal) or -1 (discrete).  A half is
+    chi(z) (q + s) / 2 on z = +-I and chi(z) (s +- sqrt(eps q)) / 2 on z u,
+    u unipotent, with the quadratic Gauss sum sqrt(eps q) = sum_x zeta_q^(x^2),
+    eps = (-1 / q), and the sign from the square class of <N v, v>, N = u - 1.
+    On trace t it is s ((t + 2) / q) on the torus of sign s (split 1,
+    nonsplit -1), and 0 on the other."""
+    sl2 = dual_pair(q, "-").sl2
+    red = _reduction(_order(q))
+    a, b, c, d = sl2.elements.reshape(-1, 4).T.astype(np.int64)
+    tr = (a + d) % q
+    legendre = np.array([0] + [1 if pow(x, (q - 1) // 2, q) == 1 else -1 for x in range(1, q)])
+    disc = legendre[(tr * tr - 4) % q]  # 1 split, -1 nonsplit, 0 on +-I and +-unipotents
+    z = np.where(tr == q - 2, -1, 1)
+    center = (b == 0) & (c == 0) & (a == d)
+    # <N v, v> = z b for v = (0, 1), or -z c for v = (1, 0) when b = 0
+    key = legendre[np.where(b, z * b, -z * c) % q] * ((disc == 0) & ~center)
+    # the Gauss sum is 1 + 2 eta, eta the sum of zeta_q^x over the nonzero squares x
+    eta = red[(np.arange(1, (q + 1) // 2) ** 2 % q) * (len(red) // q)].sum(axis=0)
+    chars = [ClassFunction(sl2, np.tile(red[0], (len(tr), 1)), "1"),
+             ClassFunction(sl2, np.where(center, q, disc)[:, None] * red[0], "St")]
+    chars += [dl_regular_character(q, "split", k) for k in range(1, (q - 1) // 2)]
+    chars += [dl_regular_character(q, "nonsplit", k) for k in range(1, (q + 1) // 2)]
+    for s in (1, -1):
+        chi_z = np.where(z < 0, s * legendre[q - 1], 1)
+        for sign in (1, -1):  # (s +- sqrt(eps q)) / 2 = (s +- 1) / 2 +- eta
+            ints = np.where(center, chi_z * (q + s) // 2, chi_z * (s * key * key + sign * key) // 2)
+            ints = ints + np.where(disc == s, s * legendre[(tr + 2) % q], 0)
+            values = ints[:, None] * red[0] + (chi_z * sign * key)[:, None] * eta
+            chars.append(ClassFunction(sl2, values, f"half[{s},{sign}]"))
     return chars
 
 
@@ -182,10 +187,5 @@ def decomposition_dimension_check(q: int, variant: str) -> bool:
     """Full decomposition accounting: sum over all irreducible pairs of
     multiplicity * deg(pi) * deg(rho) equals q^2."""
     rep = build_weil_rep(q, variant)
-    chars_o = numerical_character_table(rep.pair.o2)
-    total = 0
-    for pi in numerical_character_table(rep.pair.sl2):
-        for rho in chars_o:
-            m = theta_multiplicity(rep, pi, rho)
-            total += m * round(abs(pi.degree())) * round(abs(rho.degree()))
-    return total == q * q
+    return q * q == sum(theta_multiplicity(rep, pi, rho) * pi.degree() * rho.degree()
+                        for pi in sl2_character_table(q) for rho in o2_irreducibles(rep.pair))

@@ -249,11 +249,12 @@ def _lift_blocks(datum: TorusDatum, uniformizer=None, taus=None) -> ThetaResult:
     The zero block goes through the depth-zero map, every positive block
     through the positive-depth map; factors are reassembled in their
     original order.  Each block's invariants are computed once, and the
-    totals composed by the orthogonal sum law.
+    totals composed by the orthogonal sum law once: a block's predicted
+    invariants equal its target ones (checked at depth zero, copied above).
     """
     q = datum.base.q_base
     new_factors = [None] * len(datum.factors)
-    target = predicted = QuadInvariants(0, SQ_ONE, 1)
+    target = QuadInvariants(0, SQ_ONE, 1)
     choices = {}
     for r, indices in block_decompose(datum).levels:
         sub = datum.replace_factors(datum.factors[i] for i in indices)
@@ -268,11 +269,10 @@ def _lift_blocks(datum: TorusDatum, uniformizer=None, taus=None) -> ThetaResult:
         for j, i in enumerate(indices):
             new_factors[i] = res.lifted.factors[j]
         target = orthogonal_sum(target, res.target_invariants, q)
-        predicted = orthogonal_sum(predicted, res.predicted_invariants, q)
     out = TorusDatum(datum.base, tuple(new_factors), POLARITY_ORTHOGONAL)
     if target.dim != 2 * datum.n:
         raise DomainError("equal-rank violation: lifted dimension is not 2n")
-    return ThetaResult(out, target, predicted, so_type(target), choices)
+    return ThetaResult(out, target, target, so_type(target), choices)
 
 
 # ---------------------------------------------------------------------------

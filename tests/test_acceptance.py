@@ -1,7 +1,7 @@
 """Acceptance criteria, one test per criterion, each printing a PASS line
-with its runtime.  Tolerances: exact arithmetic everywhere except the
-finite multiplicity sums, which must be integral to 1e-6 before rounding
-(enforced inside theta_multiplicity).
+with its runtime.  Tolerances: none; the arithmetic is exact everywhere,
+and a finite multiplicity sum must be exactly a non-negative integer
+(enforced inside theta_multiplicity, which never rounds).
 
 Run with:  pytest tests/test_acceptance.py -v -s
 """
@@ -72,7 +72,7 @@ def test_criterion_3_finite_theta_verification():
     multiplicity exactly 1 with the single predicted irreducible of the
     anisotropic pair (and that irreducible is the induced character of
     exponent +-mu), 0 with everything else there and with every
-    irreducible of the split pair; multiplicities integral to 1e-6."""
+    irreducible of the split pair; every multiplicity an exact integer."""
     t0 = time.time()
     for q in (3, 5):
         report = verify_finite_theta(q)
@@ -81,6 +81,7 @@ def test_criterion_3_finite_theta_verification():
         for entry in report["characters"]:
             assert entry["matched"]
             assert entry["inverse_pair_identical"]
+            assert all(type(x["multiplicity"]) is int for x in entry["plus"] + entry["minus"])
             assert all(x["multiplicity"] == 0 for x in entry["plus"])
             assert sum(x["multiplicity"] for x in entry["minus"]) == 1
     _report("criterion 3 (finite theta, q = 3 and 5)", t0, 300)

@@ -566,6 +566,26 @@ def test_gamma_depth_with_too_many_digits_is_a_domain_error(tmp_path, capsys, r)
     assert report["error"] == f"factor 0: gamma r = {r} has too many digits"
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="the interpreter has no int-string digit limit")
+@pytest.mark.parametrize("sign, gamma", [("", []), ("-", [{"r": "1", "residue_coeffs": [0, 2]}])],
+                         ids=["depth-zero", "positive-depth"])
+def test_lift_past_the_int_string_digit_limit_is_a_domain_error(tmp_path, capsys, sign, gamma):
+    """The README depth-zero example with c.val the largest printable int
+    (4,300 nines by default), and a positive-depth block with its negative:
+    each lifted val has one digit more, so lift exits 1 with one DomainError
+    report and no ValueError traceback."""
+    doc = json.loads(json.dumps(DEPTH_ZERO))
+    doc["factors"][0]["c"]["val"] = int(sign + "9" * sys.get_int_max_str_digits())
+    if gamma:
+        doc["factors"][0]["gamma"] = gamma
+    code = main(["lift", write(tmp_path, doc)])
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert (code, report["kind"], err) == (1, "DomainError", "")
+    assert report["error"].startswith("the report cannot be written: Exceeds the limit")
+
+
 def test_gamma_depth_outside_the_value_group_is_a_domain_error(tmp_path):
     # an unramified factor has e = 1, so r = 1/2 is not a valuation of L
     gamma = [{"r": "1/2", "residue_coeffs": [0, 2]}]

@@ -121,7 +121,8 @@ def _instances():
         BinarySpace: pair.space,
         FiniteDualPair: pair,
         RepMatrixSet: build_weil_rep(3, "+"),
-        ClassFunction: ClassFunction(pair.o2, np.ones(len(pair.o2.elements), dtype=complex), "one"),
+        # the number 1 of Z[zeta_12] on every element
+        ClassFunction: ClassFunction(pair.o2, np.eye(1, 12, dtype=np.int64).repeat(len(pair.o2.elements), 0), "one"),
     }
 
 
