@@ -10,7 +10,6 @@ floating point reaches the output.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import numbers
 import random
@@ -173,6 +172,8 @@ def load_document(path: str) -> tuple[dict, str]:
             raw = fh.read()
     except OSError as ex:
         raise SchemaError(f"cannot read {path}: {ex}") from ex
+    import hashlib  # here, not at import: no other path needs it
+
     digest = hashlib.sha256(raw).hexdigest()
     try:
         doc = json.loads(raw, parse_float=_exact_number, object_pairs_hook=_unique_keys)
@@ -407,13 +408,13 @@ def cmd_transport(args) -> tuple[dict, int]:
 
 
 def verify_finite_theta(q: int) -> dict:
-    """finitetheta, and with it numpy, is imported only when finite-verify runs."""
-    from .finitetheta import verify_finite_theta
+    """weilchar is imported only when finite-verify runs."""
+    from .weilchar import verify_finite_theta
     return verify_finite_theta(q)
 
 
 def validate_weyl_form_rank1(q: int) -> dict:
-    from .finitetheta import validate_weyl_form_rank1
+    from .weilchar import validate_weyl_form_rank1
     return validate_weyl_form_rank1(q)
 
 

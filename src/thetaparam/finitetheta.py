@@ -1,4 +1,4 @@
-"""Brute-force oracle for the rank-one finite theta correspondence.
+"""The dense reference for the rank-one finite theta correspondence.
 
 For the dual pair (SL2(q), O(V)) with dim V = 2 and q in {3, 5} this module
 builds the oscillator representation explicitly in the Schroedinger model
@@ -6,28 +6,19 @@ builds the oscillator representation explicitly in the Schroedinger model
 upper unipotent n(b) acts by the quadratic character multiplication
 psi(b Q(v)), and the Weyl element acts by the finite Fourier transform
 times a sign pinned by the group relations (n(1) w)^3 = w^4 = 1, after
-which the whole representation is verified exhaustively.
+which the whole representation is verified exhaustively.  Its traces and
+element-wise multiplicity sums are the independent check of the class-sum
+route of thetaparam.weilchar, whose groups, spaces and closed-form
+characters it reads as numpy arrays.
 
-Deligne-Lusztig characters of SL2(q) (discrete and principal series in
-general position) and the induced characters of the dihedral groups
-O(V+-)(q) are provided in closed form, checked against the closed-form
-character table of thetaparam.oracle, and fed into multiplicity sums that
-verify the rank-one theta pattern: a regular nonsplit-torus character lifts
-with multiplicity one to the anisotropic pair and vanishes on the split pair.
-
-The arithmetic is exact.  With psi(t) = zeta_q^t every value lies in
-Z[zeta_N], N = lcm(q, q - 1, q + 1): q S_g over Z[zeta_q] and characters
-over Z[zeta_N] are integer coefficient arrays reduced mod the cyclotomic
-polynomial, every check is `==`, and a multiplicity is an integer or a
-NonIntegralMultiplicity.
-
+The arithmetic is exact: q S_g over Z[zeta_q] and characters over Z[zeta_N]
+are integer coefficient arrays reduced mod the cyclotomic polynomial, every
+check is `==`, and a multiplicity is an integer or a NonIntegralMultiplicity.
 Every group element is a small-int numpy matrix keyed by the int64 code of
-its entries.  SL2(q) and O(V) are MatrixGroups: their elements in code
-order with a table of products, so class functions are arrays in that
-order and conjugation, inverses and classes are table lookups.  The
-Weyl-form checks close matrix groups over F_q breadth-first on codes, and
-find torus normalizers by the inverse-free test g t = t' g: one exact pass,
-with no matrix inverse.
+its entries; SL2(q) and O(V) are MatrixGroups, their elements in code order
+with a table of products.  The rank-two Weyl-form check closes Sp4(q)
+breadth-first on codes and finds torus normalizers by the inverse-free test
+g t = t' g.
 """
 
 from __future__ import annotations
@@ -38,19 +29,15 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .finitefield import fq_make, fq_multiplicative_generator, fq_norm1_generator
+from .finitefield import fq_make, fq_norm1_generator
 from .value import Record, Value, set_field
+from .weilchar import BinarySpace, NonIntegralMultiplicity, VerificationFailure
+from .weilchar import _order, binary_space, canonical, class_key, dl_character, groups, multiplication_matrices
+from .weilchar import o2_induced, sl2_classes
+from .weilchar import o2_irreducibles as weil_o2_irreducibles
 
 
 class NormalizationFailure(DomainError):
-    pass
-
-
-class NonIntegralMultiplicity(DomainError):
-    pass
-
-
-class VerificationFailure(DomainError):
     pass
 
 
@@ -95,47 +82,7 @@ class MatrixGroup:
 
 
 # ---------------------------------------------------------------------------
-# the two binary quadratic spaces and their isometry groups
-
-
-class BinarySpace(Value):
-    """V = F_q^2 with Q hyperbolic (variant '+') or the field norm form
-    of F_{q^2} in the deterministic modulus basis (variant '-')."""
-
-    __slots__ = _fields = ("q", "variant", "gram")
-
-    def __init__(self, q: int, variant: str, gram: tuple):
-        set_field(self, "q", q)
-        set_field(self, "variant", variant)
-        set_field(self, "gram", gram)  # matrix of the polar form B(u, v) = Q(u+v) - Q(u) - Q(v)
-
-    def quad(self, v) -> int:
-        if self.variant == "+":
-            return (v[0] * v[1]) % self.q
-        g = self.gram
-        return ((g[0][0] * v[0] * v[0] + g[1][1] * v[1] * v[1]) * pow(2, -1, self.q)
-                + g[0][1] * v[0] * v[1]) % self.q
-
-    def vectors(self):
-        return [(a, b) for a in range(self.q) for b in range(self.q)]
-
-
-def _binary_space(q: int, variant: str) -> BinarySpace:
-    if variant == "+":
-        return BinarySpace(q, "+", ((0, 1), (1, 0)))
-    field = fq_make(q, 2)
-    # Q(a + b x) = Nm(a + b x); polarize to get the Gram matrix over F_q
-    def nm(a, b):
-        z = field.element([a, b])
-        w = z * z.frobenius()
-        assert all(c == 0 for c in w.coeffs[1:])
-        return w.coeffs[0]
-
-    q11 = nm(1, 0)
-    q22 = nm(0, 1)
-    b12 = (nm(1, 1) - q11 - q22) % q
-    gram = ((2 * q11 % q, b12), (b12, 2 * q22 % q))
-    return BinarySpace(q, "-", gram)
+# the dual pair
 
 
 class FiniteDualPair(Value):
@@ -161,62 +108,15 @@ class FiniteDualPair(Value):
         return len(self.rotations)
 
 
-def _multiplication_matrices(g, order):
-    """The matrices of y -> g^k y for k = 0 .. order - 1 in the power basis
-    1, x, x^2, ... of the field of g; column j is the image of x^j."""
-    field = g.field
-    basis = [field.gen() ** k for k in range(field.f)]
-    mats, cur = [], field.one()
-    for _ in range(order):
-        mats.append([(cur * b).coeffs for b in basis])
-        cur = cur * g
-    return np.swapaxes(np.array(mats, dtype=np.int8), 1, 2)
-
-
-def _torus(q: int, torus: str):
-    """The generator and order of a cyclic torus of SL2(q): g0 of F_q^x,
-    order q - 1, for 'split'; y0 of norm one in F_{q^2}, order q + 1, for
-    'nonsplit'."""
-    if torus == "split":
-        return fq_multiplicative_generator(fq_make(q, 1)), q - 1
-    if torus == "nonsplit":
-        return fq_norm1_generator(fq_make(q, 1), 1), q + 1
-    raise DomainError("torus must be 'split' or 'nonsplit'")
-
-
-def _rotation_list(space: BinarySpace):
-    """Rotations indexed by powers of the torus generator: for '+' the maps
-    diag(g0^j, g0^-j) of the split torus, for '-' the multiplications by
-    the nonsplit torus, the norm-one group of F_{q^2}."""
-    q = space.q
-    if space.variant == "-":
-        return _multiplication_matrices(*_torus(q, "nonsplit"))
-    g0, n = _torus(q, "split")
-    return np.array([np.diag([(g0 ** j).coeffs[0], (g0 ** -j).coeffs[0]]) for j in range(n)])
-
-
 @lru_cache(maxsize=None)
 def dual_pair(q: int, variant: str) -> FiniteDualPair:
-    if q not in (3, 5):
-        raise DomainError("the finite oracle is built for q in {3, 5}")
-    if variant not in ("+", "-"):
-        raise DomainError("variant must be '+' or '-'")
-    space = _binary_space(q, variant)
-    # every 2 x 2 matrix over F_q, in lexicographic (so code) order; SL2 is
-    # det = 1, and O(V) is m^T G m = G for the polar Gram matrix G, which for
-    # odd q is exactly Q(mv) = Q(v), as Q(v) = B(v, v) / 2
-    mats = np.indices((q,) * 4).reshape(4, -1).T.reshape(-1, 2, 2)
-    gram = np.array(space.gram)
-    det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-    sl2 = MatrixGroup(mats[det % q == 1], q)
-    o2 = MatrixGroup(mats[(np.swapaxes(mats, 1, 2) @ gram @ mats % q == gram).all(axis=(1, 2))], q)
+    """The pair on the elements that weilchar.groups lists, as MatrixGroups."""
+    sl2, o2, rotations = (np.reshape(x, (-1, 2, 2)) for x in groups(q, variant))
     expect = 2 * (q - 1) if variant == "+" else 2 * (q + 1)
-    if len(sl2.elements) != q * (q * q - 1) or len(o2.elements) != expect:
+    if len(sl2) != q * (q * q - 1) or len(o2) != expect:
         raise VerificationFailure("group orders are off")
-    rotations = o2.index(_rotation_list(space))
-    if len(set(rotations.tolist())) != expect // 2:
-        raise VerificationFailure("rotation subgroup does not sit in O(V)")
-    return FiniteDualPair(q, variant, space, sl2, o2, rotations)
+    sl2, o2 = MatrixGroup(sl2, q), MatrixGroup(o2, q)
+    return FiniteDualPair(q, variant, binary_space(q, variant), sl2, o2, o2.index(rotations))
 
 
 # ---------------------------------------------------------------------------
@@ -229,33 +129,10 @@ def dual_pair(q: int, variant: str) -> FiniteDualPair:
 # canonical arrays are canonical.
 
 
-def _order(q: int) -> int:
-    """N = lcm(q, q - 1, q + 1) for odd q; every value lies in Z[zeta_N]."""
-    return q * (q * q - 1) // 2
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic_polynomial(n: int) -> np.ndarray:
-    """Phi_n, constant term first: x^n - 1 over Phi_d for each d < n dividing n."""
-    p = np.zeros(n + 1, dtype=np.int64)
-    p[[0, n]] = -1, 1
-    for m in (_cyclotomic_polynomial(d) for d in range(1, n) if n % d == 0):
-        for i in range(len(p) - len(m), -1, -1):  # synthetic division by the monic m
-            p[i : i + len(m) - 1] -= p[i + len(m) - 1] * m[:-1]
-        p = p[len(m) - 1 :]  # the quotient; the remainder is 0
-    return p
-
-
 @lru_cache(maxsize=None)
 def _reduction(n: int) -> np.ndarray:
     """R with a @ R the canonical form of a: row k is the canonical zeta_n^k."""
-    phi = _cyclotomic_polynomial(n)
-    k = len(phi) - 1
-    rows = np.zeros((n, n), dtype=np.int64)
-    rows[:k, :k] = np.eye(k, dtype=np.int64)
-    for j in range(k, n):
-        rows[j, 1:] = rows[j - 1, :-1]
-        rows[j, : k + 1] -= rows[j, k] * phi
+    rows = np.array([canonical(((k, 1),), n) for k in range(n)], dtype=np.int64)
     rows.flags.writeable = False
     return rows
 
@@ -414,96 +291,25 @@ class ClassFunction(Record):
         return int(self.values[self.group.identity, 0])
 
 
-@lru_cache(maxsize=None)
-def _cyclic_sums(k: int, n: int, big: int) -> np.ndarray:
-    """zeta_n^(kj) + zeta_n^(-kj) for j = 0 .. n - 1, canonical in Z[zeta_big]
-    for a multiple big of n."""
-    e = k * (big // n) * np.arange(n)
-    sums = _reduction(big)[e % big] + _reduction(big)[-e % big]
-    sums.flags.writeable = False
-    return sums
+def _class_function(group: MatrixGroup, label: str, values) -> ClassFunction:
+    """A closed-form character of weilchar, given on the elements of group."""
+    return ClassFunction(group, np.array([canonical(v, _order(group.q)) for v in values]), label)
 
 
 def dl_regular_character(q: int, torus: str, exponent: int) -> ClassFunction:
-    """Deligne-Lusztig character of SL2(q) for a torus character in general
-    position: discrete series of degree q - 1 for the nonsplit torus,
-    principal series of degree q + 1 for the split torus.
-
-    With sign = +1 (split) or -1 (nonsplit) and chi(-1) = (-1)^k, the value
-    is deg chi(z) on z = +-I, sign chi(z) on z times a unipotent,
-    sign (zeta^(kj) + zeta^(-kj)) on the regular trace t^j + t^-j of this
-    torus, and 0 on the other torus."""
-    t, n = _torus(q, torus)
-    if (2 * exponent) % n == 0:
-        raise NotGeneralPositionFinite(f"exponent {exponent} mod {n} is not regular")
-    sign = 1 if torus == "split" else -1
-    big = _order(q)
-    sums = _cyclic_sums(exponent, n, big)
-    # regular[tr] = sign (zeta^(kj) + zeta^(-kj)) for tr = t^j + t^-j, 0 < j < n/2
-    regular = np.zeros((q, big), dtype=np.int64)
-    for j in range(1, n // 2):
-        regular[(t ** j + t ** -j).coeffs[0]] = sign * sums[j]
+    """weilchar.dl_character on the elements of SL2(q)."""
+    label, values = dl_character(q, torus, exponent)
+    index = {class_key(g, q): i for i, (g, _) in enumerate(sl2_classes(q))}
     sl2 = dual_pair(q, "-").sl2
-    a, b, c, d = sl2.elements.reshape(-1, 4).T.astype(np.int64)
-    tr = (a + d) % q
-    chi_z = np.where(tr == 2, 1, (-1) ** (exponent % 2))  # chi(z) for z = +-I, on +-unipotents
-    ints = (chi_z * np.where((b == 0) & (c == 0), q + sign, sign))[:, None] * _reduction(big)[0]
-    values = np.where(((tr == 2) | (tr == q - 2))[:, None], ints, regular[tr])
-    return ClassFunction(sl2, values, f"{'ps' if sign == 1 else 'ds'}[{exponent}]")
-
-
-class NotGeneralPositionFinite(DomainError):
-    pass
-
-
-def _o2_decompose(pair: FiniteDualPair):
-    """The rotation index j and the reflection flag of every element of O(V),
-    as two arrays: a reflection h is rotations[j] * seed, the seed being the
-    first reflection."""
-    o2 = pair.o2
-    rot_index = np.full(len(o2.elements), -1)
-    rot_index[pair.rotations] = np.arange(len(pair.rotations))
-    refl = rot_index < 0
-    j = np.where(refl, rot_index[o2.mul[:, o2.inverse[np.argmax(refl)]]], rot_index)
-    if (j < 0).any():
-        raise VerificationFailure("element is neither rotation nor reflection")
-    return j, refl
+    return _class_function(sl2, label, [values[index[class_key(g, q)]] for g in groups(q, "-")[0]])
 
 
 def o2_induced_character(pair: FiniteDualPair, exponent: int) -> ClassFunction:
-    """Induction to O(V) of the rotation character of the given exponent;
-    irreducible exactly when 2 * exponent != 0 mod the rotation order."""
-    n = pair.rotation_order
-    if (2 * exponent) % n == 0:
-        raise NotGeneralPositionFinite(f"exponent {exponent} mod {n} does not induce irreducibly")
-    j, refl = _o2_decompose(pair)
-    values = np.where(refl[:, None], 0, _cyclic_sums(exponent, n, _order(pair.q))[j])
-    return ClassFunction(pair.o2, values, f"ind[{exponent}]")
-
-
-def o2_one_dimensionals(pair: FiniteDualPair):
-    """The four linear characters of the dihedral O(V); the rotation order
-    q -+ 1 is even here, so the rotation sign character exists."""
-    n = pair.rotation_order
-    if n % 2:
-        raise VerificationFailure("rotation order should be even for odd q")
-    j, refl = _o2_decompose(pair)
-    one = _reduction(_order(pair.q))[0]
-    return [ClassFunction(pair.o2, (rot**j * np.where(refl, ref, 1))[:, None] * one,
-                          f"lin[{rot},{ref}]") for rot in (1, -1) for ref in (1, -1)]
+    return _class_function(pair.o2, *o2_induced(pair.q, pair.variant, exponent))
 
 
 def o2_irreducibles(pair: FiniteDualPair):
-    """Complete list of irreducible characters of the dihedral group O(V):
-    the four linear ones (which check that n is even) and ind[k] for
-    0 < k < n/2, one from each pair ind[k] = ind[n - k]."""
-    n = pair.rotation_order
-    return o2_one_dimensionals(pair) + [o2_induced_character(pair, k) for k in range(1, n // 2)]
-
-
-def sl2_regular_exponents(q: int):
-    n = q + 1
-    return [k for k in range(1, n) if (2 * k) % n != 0]
+    return [_class_function(pair.o2, *chi) for chi in weil_o2_irreducibles(pair.q, pair.variant)]
 
 
 # ---------------------------------------------------------------------------
@@ -532,71 +338,38 @@ def theta_multiplicity(rep: RepMatrixSet, pi: ClassFunction, rho: ClassFunction)
     return m
 
 
-def verify_finite_theta(q: int) -> dict:
-    """Check the rank-one theta pattern for every regular nonsplit-torus
-    character: multiplicity one with the single induced character of
-    matching exponent on the anisotropic pair, zero with everything else
-    there and with every irreducible of the split pair; and the inverse
-    exponent yields the same character.  Returns the full report."""
-    rep_minus = build_weil_rep(q, "-")
-    rep_plus = build_weil_rep(q, "+")
-    pair_minus = rep_minus.pair
-    report = {"q": q, "characters": [], "ok": True}
-    for k in sl2_regular_exponents(q):
-        pi = dl_regular_character(q, "nonsplit", k)
-        pi_inv = dl_regular_character(q, "nonsplit", (q + 1) - k)
-        entry = {
-            "exponent": k,
-            "inverse_pair_identical": np.array_equal(pi.values, pi_inv.values),
-            "minus": [],
-            "plus": [],
-        }
-        hits = []
-        for rho in o2_irreducibles(pair_minus):
-            m = theta_multiplicity(rep_minus, pi, rho)
-            entry["minus"].append({"rho": rho.label, "multiplicity": m})
-            if m:
-                hits.append((rho, m))
-        for rho in o2_irreducibles(rep_plus.pair):
-            m = theta_multiplicity(rep_plus, pi, rho)
-            entry["plus"].append({"rho": rho.label, "multiplicity": m})
-            if m:
-                entry.setdefault("unexpected_plus", []).append(rho.label)
-        expected = o2_induced_character(pair_minus, k)
-        entry["matched"] = (len(hits) == 1 and hits[0][1] == 1
-                            and np.array_equal(hits[0][0].values, expected.values))
-        if not entry["matched"] or entry.get("unexpected_plus") or not entry["inverse_pair_identical"]:
-            report["ok"] = False
-        report["characters"].append(entry)
-    if not report["ok"]:
-        raise VerificationFailure(f"finite theta pattern failed for q = {q}: {report}")
-    return report
-
-
 # ---------------------------------------------------------------------------
 # Weyl-group form validation by brute-force normalizers.  The closure is a
 # level-at-a-time BFS on codes, and g normalizes T = <t_1> iff g t_1 = t_j g,
 # j being its multiplier.
 
 
+def _sorted_member(codes, sorted_codes):
+    """Whether each code lies in the sorted array sorted_codes."""
+    pos = np.searchsorted(sorted_codes, codes).clip(max=len(sorted_codes) - 1)
+    return sorted_codes[pos] == codes
+
+
 def _mulclose(gens, q, limit=10**7):
     """The group generated by gens, as an int8 array of its elements in
-    breadth-first order, identity first."""
+    breadth-first order, identity first; each level in code order."""
     gens = np.asarray(gens, dtype=np.int16)
     frontier = np.eye(gens.shape[-1], dtype=np.int8)[None]
-    levels, seen = [frontier], _codes(frontier, q)
+    levels, seen = [frontier], _codes(frontier, q)  # seen stays sorted
     while len(frontier):
         prods, prod_codes = [], []
         for g in gens:
             prod = (g @ frontier % q).astype(np.int8)
             codes = _codes(prod, q)
-            new = ~np.isin(codes, seen, assume_unique=True)
+            new = ~_sorted_member(codes, seen)
             prods.append(prod[new])
             prod_codes.append(codes[new])
-        codes, first = np.unique(np.concatenate(prod_codes), return_index=True)
+        codes = np.concatenate(prod_codes)
+        order = np.argsort(codes, kind="stable")
+        first = order[np.diff(codes[order], prepend=-1) != 0]  # the first of each code, in code order
         frontier = np.concatenate(prods)[first]
         levels.append(frontier)
-        seen = np.concatenate([seen, codes])
+        seen = np.sort(np.concatenate([seen, codes[first]]))
         if len(seen) > limit:
             raise VerificationFailure("closure exceeded the size limit")
     return np.concatenate(levels)
@@ -618,27 +391,6 @@ def normalizer_exponent_actions(group, torus_elements, q) -> Counter:
 
 def torus_normalizer_order(group, torus_elements, q) -> int:
     return sum(normalizer_exponent_actions(group, torus_elements, q).values())
-
-
-def validate_weyl_form_rank1(q: int) -> dict:
-    """In SL2(q) and both O(V)(q): the normalizer of the nonsplit torus has
-    index-two image (order 2m with m = 1), acting by the signed Frobenius
-    powers {1, q} on exponents."""
-    pair = dual_pair(q, "-")
-    expected = sorted({1 % (q + 1), q % (q + 1)})
-    torus = pair.o2.elements[pair.rotations]
-    out = {}
-    for name, group in (("sl2", pair.sl2), ("o2", pair.o2)):
-        actions = normalizer_exponent_actions(group.elements, torus, q)
-        out[name] = {
-            "weyl_order": sum(actions.values()) // len(pair.rotations),
-            "actions": sorted(actions),
-            "expected_actions": expected,
-        }
-    out["ok"] = all(out[k]["weyl_order"] == 2 and out[k]["actions"] == expected for k in out)
-    if not out["ok"]:
-        raise VerificationFailure(f"rank-one Weyl validation failed: {out}")
-    return out
 
 
 def _torus_matrices_in_sp4(q: int):
@@ -664,7 +416,7 @@ def _torus_matrices_in_sp4(q: int):
 
     gram = [[tr_to_base(c * basis[i] * (basis[j] ** (q * q))) for j in range(4)] for i in range(4)]
 
-    return _multiplication_matrices(g, q * q + 1), gram
+    return np.reshape(multiplication_matrices(g, q * q + 1), (-1, 4, 4)).astype(np.int8), gram
 
 
 def _sp4_transvections(q: int, gram):
@@ -684,7 +436,7 @@ def validate_weyl_form_rank2(q: int = 3) -> dict:
     expected_order = q**4 * (q**2 - 1) * (q**4 - 1)
     if len(group) != expected_order:
         raise VerificationFailure(f"|Sp4({q})| = {len(group)} != {expected_order}")
-    if not np.isin(_codes(torus, q), _codes(group, q)).all():
+    if not _sorted_member(_codes(torus, q), np.sort(_codes(group, q))).all():
         raise VerificationFailure("the torus does not sit inside the generated group")
     n = len(torus)
     actions = normalizer_exponent_actions(group, torus, q)

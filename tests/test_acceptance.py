@@ -1,7 +1,8 @@
 """Acceptance criteria, one test per criterion, each printing a PASS line
 with its runtime.  Tolerances: none; the arithmetic is exact everywhere,
 and a finite multiplicity sum must be exactly a non-negative integer
-(enforced inside theta_multiplicity, which never rounds).
+(enforced inside weilchar.multiplicity and finitetheta.theta_multiplicity,
+neither of which rounds).
 
 Run with:  pytest tests/test_acceptance.py -v -s
 """
@@ -26,7 +27,7 @@ from thetaparam.theta import (
     parity_predict,
 )
 from thetaparam.torusdata import datum_equivalent, validate
-from thetaparam.finitetheta import sl2_regular_exponents, verify_finite_theta
+from thetaparam.weilchar import sl2_regular_exponents, verify_finite_theta
 
 import gen
 from gen import hilbert_symbol, leading_term

@@ -228,7 +228,7 @@ def test_cli_import_leaves_numpy_finitetheta_and_jsonschema_unloaded():
     loaded = _python(
         "import thetaparam.cli, sys; "
         "print([m for m in ('numpy', 'thetaparam.finitetheta', 'thetaparam.oracle', 'jsonschema', "
-        "'dataclasses') if m in sys.modules])"
+        "'dataclasses', 'hashlib') if m in sys.modules])"
     )
     assert loaded.strip() == "[]"
 
@@ -240,7 +240,8 @@ from thetaparam import cli
 path, out = sys.argv[1:]
 with contextlib.redirect_stdout(io.StringIO()):
     verify_code = cli.main(["finite-verify", "--q", "3"])
-after_verify = [m for m in ("jsonschema", "dataclasses", "thetaparam.oracle") if m in sys.modules]
+after_verify = [m for m in ("jsonschema", "dataclasses", "thetaparam.oracle", "numpy", "thetaparam.finitetheta")
+                if m in sys.modules]
 validate_code = cli.main(["--out", out, "validate", path])
 import jsonschema
 schema = json.loads(resources.files("thetaparam.schemas").joinpath("datum.schema.json").read_text())

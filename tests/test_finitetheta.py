@@ -7,12 +7,10 @@ from thetaparam.finitefield import fq_make, fq_multiplicative_generator
 from thetaparam.finitetheta import (
     ClassFunction,
     NonIntegralMultiplicity,
-    NotGeneralPositionFinite,
     VerificationFailure,
     _conj,
     _dot,
     _mulclose,
-    _o2_decompose,
     _order,
     _reduction,
     _sp4_transvections,
@@ -23,17 +21,21 @@ from thetaparam.finitetheta import (
     normalizer_exponent_actions,
     o2_induced_character,
     o2_irreducibles,
-    sl2_regular_exponents,
     theta_multiplicity,
     torus_normalizer_order,
-    validate_weyl_form_rank1,
     validate_weyl_form_rank2,
-    verify_finite_theta,
 )
 from thetaparam.oracle import (
     conjugacy_classes,
     decomposition_dimension_check,
     sl2_character_table,
+)
+from thetaparam.weilchar import (
+    NotGeneralPositionFinite,
+    _o2_parts,
+    sl2_regular_exponents,
+    validate_weyl_form_rank1,
+    verify_finite_theta,
 )
 
 
@@ -103,7 +105,7 @@ def test_o2_decompose_writes_reflections_as_rotation_times_seed(q, variant):
     elements = pair.o2.elements.astype(np.int64)
     rotations = elements[pair.rotations]
     seed = next(h for i, h in enumerate(elements) if i not in pair.rotations.tolist())
-    j, refl = _o2_decompose(pair)
+    j, refl = np.array(_o2_parts(q, variant)).T
     assert len(j) == len(refl) == len(elements)
     for h, jj, r in zip(elements, j, refl):
         assert np.array_equal(h, rotations[jj] @ seed % q if r else rotations[jj])
