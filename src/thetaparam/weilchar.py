@@ -111,7 +111,7 @@ def multiplication_matrices(g, order):
     return mats
 
 
-def rotations(space: BinarySpace):
+def _rotations(space: BinarySpace):
     """Rotations indexed by powers of the torus generator: for '+' the maps
     diag(g0^j, g0^-j) of the split torus, for '-' the multiplications by
     the nonsplit torus, the norm-one group of F_{q^2}."""
@@ -144,7 +144,7 @@ def groups(q: int, variant: str):
     # B(m u, m v) = B(u, v) on the basis, which for odd q is Q(m v) = Q(v)
     cols = ((0, 0), (0, 1), (1, 1))
     o2 = [m for m in mats if all(space.polar(m[i::2], m[j::2]) == space.gram[i][j] for i, j in cols)]
-    rot = rotations(space)
+    rot = _rotations(space)
     if len(o2) != 2 * len(rot) or not set(rot) <= set(o2) or len(set(rot)) != len(rot):
         raise VerificationFailure("rotation subgroup does not sit in O(V)")
     return tuple(sl2), tuple(o2), tuple(rot)
@@ -155,14 +155,14 @@ def _legendre(x: int, q: int) -> int:
 
 
 def class_key(g, q):
-    """The conjugacy class of g in SL2(q): its trace, and for z u with z =
-    +-1 and u != 1 unipotent the square class of <N v, v>, N = z g - 1."""
+    """The conjugacy class of g in SL2(q): its trace, and for +-I times a
+    unipotent u != 1 the square class of its entry b, or of -c when b = 0
+    (that of <N v, v>, N = u - 1, up to the sign of +-I, fixed by the trace)."""
     a, b, c, d = g
     tr = (a + d) % q
     if tr not in (2, q - 2) or not (b or c):
         return tr, 0
-    z = 1 if tr == 2 else -1
-    return tr, _legendre(z * b if b else -z * c, q)
+    return tr, _legendre(b if b else -c, q)
 
 
 @lru_cache(maxsize=None)
