@@ -74,46 +74,86 @@ _DEFS = "#/$defs/"
 
 
 def compile_schema(schema: dict):
-    """A predicate that accepts a document exactly when `schema` does under
-    draft 2020-12 (as jsonschema applies it).  It covers the keywords the
-    datum schema uses; any other keyword raises ValueError here, so an edit
-    to the schema cannot be silently ignored."""
+    """A check of a document against `schema` under draft 2020-12, as
+    jsonschema 4.26.0 applies it: None when the schema accepts the document,
+    else the message of the error `best_match` picks: the first in
+    `iter_errors` order (keywords and properties in schema order, items by
+    index, `$ref` in place) with the greatest key (-len(path), path, the
+    instance does not match its node's "type").  A keyword the datum schema
+    does not use raises ValueError, so no edit to the schema goes unseen."""
 
     def node(sub: dict):
         checks = [keyword(key, value, sub) for key, value in sub.items()
-                  if key not in ("title", "$defs")]
-        return lambda x: all(check(x) for check in checks)
+                  if key not in ("title", "$defs") and (key, value) != ("$schema", _DRAFT)]
+
+        def check(x, path, errors):
+            for each in checks:
+                each(x, path, errors)
+        return check
+
+    def leaf(sub, accepts, message):
+        typed = _TYPES.get(sub.get("type"), lambda x: False)
+
+        def check(x, path, errors):
+            if not accepts(x):
+                errors.append(((-len(path), path, not typed(x)), message(x)))
+        return check
 
     def keyword(key, value, sub):
-        if key == "$schema" and value == _DRAFT:
-            return lambda x: True
         if key == "type" and value in _TYPES:
-            return _TYPES[value]
+            return leaf(sub, _TYPES[value], lambda x: f"{x!r} is not of type {value!r}")
         if key == "enum" and all(isinstance(v, str) for v in value):
-            return lambda x: isinstance(x, str) and x in value
+            return leaf(sub, lambda x: isinstance(x, str) and x in value,
+                        lambda x: f"{x!r} is not one of {value!r}")
         if key == "minimum":
-            return lambda x: isinstance(x, bool) or not isinstance(x, numbers.Number) or not x < value
-        if key == "minItems":
-            return lambda x: not isinstance(x, list) or len(x) >= value
-        if key == "required":
-            return lambda x: not isinstance(x, dict) or all(k in x for k in value)
+            return leaf(sub, lambda x: isinstance(x, bool) or not isinstance(x, numbers.Number)
+                        or not x < value, lambda x: f"{x!r} is less than the minimum of {value!r}")
+        if key == "minItems" and value == 1:  # jsonschema words any other bound differently
+            return leaf(sub, lambda x: not isinstance(x, list) or x, lambda x: f"{x!r} should be non-empty")
+        if key == "required":  # only the first missing key can be best_match's pick
+            needed = frozenset(value)
+            return leaf(sub, lambda x: not isinstance(x, dict) or x.keys() >= needed,
+                        lambda x: f"{next(k for k in value if k not in x)!r} is a required property")
         if key == "additionalProperties" and value is False:
             allowed = set(sub.get("properties", ()))
-            return lambda x: not isinstance(x, dict) or x.keys() <= allowed
+
+            def extras(x):
+                names = sorted(x.keys() - allowed)
+                return (f"Additional properties are not allowed ({', '.join(map(repr, names))} "
+                        f"{'was' if len(names) == 1 else 'were'} unexpected)")
+            return leaf(sub, lambda x: not isinstance(x, dict) or x.keys() <= allowed, extras)
         if key == "properties":
-            props = {k: node(v) for k, v in value.items()}
-            return lambda x: not isinstance(x, dict) or all(props[k](x[k]) for k in props if k in x)
+            props = [(k, node(v)) for k, v in value.items()]
+
+            def check(x, path, errors):
+                if isinstance(x, dict):
+                    for k, child in props:
+                        if k in x:
+                            child(x[k], path + (k,), errors)
+            return check
         if key == "items":
             item = node(value)
-            return lambda x: not isinstance(x, list) or all(item(i) for i in x)
+
+            def check(x, path, errors):
+                if isinstance(x, list):
+                    for i, y in enumerate(x):
+                        item(y, path + (i,), errors)
+            return check
         if key == "pattern":
             search = re.compile(value).search  # unanchored, as jsonschema's re.search
-            return lambda x: not isinstance(x, str) or search(x) is not None
+            return leaf(sub, lambda x: not isinstance(x, str) or search(x),
+                        lambda x: f"{x!r} does not match {value!r}")
         if key == "$ref" and value.startswith(_DEFS):
             return node(schema["$defs"][value[len(_DEFS):]])
         raise ValueError(f"compile_schema does not support {key!r}: {value!r}")
 
-    return node(schema)
+    root = node(schema)
+
+    def check(doc):
+        errors = []
+        root(doc, (), errors)
+        return max(errors, key=lambda error: error[0])[1] if errors else None
+    return check
 
 
 @lru_cache(maxsize=None)
@@ -123,22 +163,9 @@ def _schema() -> dict:
 
 
 @lru_cache(maxsize=None)
-def _accepts():
+def _check():
     """The compiled datum schema, built once per process."""
     return compile_schema(_schema())
-
-
-@lru_cache(maxsize=None)
-def _validator():
-    """The datum schema's jsonschema validator, which words the error for a
-    rejected document.  A valid document is accepted by `_accepts` alone;
-    jsonschema is imported, and the schema checked against its metaschema,
-    only when a document is rejected."""
-    from jsonschema.validators import validator_for
-    schema = _schema()
-    cls = validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
 
 
 def _exact_number(token: str):
@@ -179,11 +206,9 @@ def load_document(path: str) -> tuple[dict, str]:
         doc = json.loads(raw, parse_float=_exact_number, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as ex:  # also undecodable bytes and too deep nesting
         raise SchemaError(f"{path} is not valid JSON: {ex}") from ex
-    if not _accepts()(doc):
-        from jsonschema.exceptions import best_match
-        error = best_match(_validator().iter_errors(doc))  # the error jsonschema.validate raises
-        if error is not None:
-            raise SchemaError(f"{path} violates the datum schema: {error.message}")
+    message = _check()(doc)
+    if message is not None:
+        raise SchemaError(f"{path} violates the datum schema: {message}")
     return doc, digest
 
 

@@ -112,16 +112,16 @@ def test_schema_error_message_matches_jsonschema_validate(tmp_path, case):
     assert rep["error"] == f"{path} violates the datum schema: {oracle.value.message}"
 
 
-def test_schema_is_checked_once_per_process(tmp_path, monkeypatch):
-    # a valid document never reaches jsonschema, so two rejected ones drive it
-    cls = type(cli._validator())
-    check_schema, calls = cls.check_schema, []
-    monkeypatch.setattr(cls, "check_schema", lambda schema: calls.append(schema) or check_schema(schema))
-    cli._validator.cache_clear()
-    path = write(tmp_path, SCHEMA_VIOLATIONS["several_errors"])
+def test_schema_is_compiled_once_per_process(tmp_path, monkeypatch):
+    compile_schema, calls = cli.compile_schema, []
+    monkeypatch.setattr(cli, "compile_schema", lambda schema: calls.append(schema) or compile_schema(schema))
+    cli._check.cache_clear()
+    valid = write(tmp_path, DEPTH_ZERO, "a.json")
+    rejected = write(tmp_path, SCHEMA_VIOLATIONS["several_errors"])
     for _ in range(2):
+        load_document(valid)
         with pytest.raises(cli.SchemaError):
-            load_document(path)
+            load_document(rejected)
     assert len(calls) == 1
 
 
@@ -243,20 +243,21 @@ with contextlib.redirect_stdout(io.StringIO()):
 after_verify = [m for m in ("jsonschema", "dataclasses", "thetaparam.oracle", "numpy", "thetaparam.finitetheta")
                 if m in sys.modules]
 validate_code = cli.main(["--out", out, "validate", path])
+after_validate = "jsonschema" in sys.modules
 import jsonschema
 schema = json.loads(resources.files("thetaparam.schemas").joinpath("datum.schema.json").read_text())
 try:
     jsonschema.validate(json.load(open(path)), schema)
 except jsonschema.ValidationError as ex:
     oracle = ex.message
-print(json.dumps([verify_code, after_verify, validate_code, oracle]))
+print(json.dumps([verify_code, after_verify, validate_code, after_validate, oracle]))
 """
 
 
-def test_finite_verify_leaves_jsonschema_unloaded_and_validate_loads_it(tmp_path):
+def test_finite_verify_and_a_rejected_document_leave_jsonschema_unloaded(tmp_path):
     path, out = write(tmp_path, SCHEMA_VIOLATIONS["several_errors"]), tmp_path / "r.json"
-    verify_code, after_verify, validate_code, oracle = json.loads(_python(_COLD_RUN, path, str(out)))
-    assert (verify_code, after_verify, validate_code) == (0, [], 2)
+    *codes_and_modules, oracle = json.loads(_python(_COLD_RUN, path, str(out)))
+    assert codes_and_modules == [0, [], 2, False]
     assert json.loads(out.read_text())["error"] == f"{path} violates the datum schema: {oracle}"
 
 
@@ -315,15 +316,24 @@ def _mutate(doc, rng: random.Random) -> None:
         target.append(value)
 
 
+_ORACLE = jsonschema.validators.validator_for(cli._schema())(cli._schema())
+
+
+def _oracle_message(doc):
+    """The message of the error jsonschema.validate raises, or None."""
+    error = jsonschema.exceptions.best_match(_ORACLE.iter_errors(doc))
+    return None if error is None else error.message
+
+
 def test_compiled_schema_agrees_with_jsonschema_on_mutated_golden_documents():
-    accepts, validator, rng = cli._accepts(), cli._validator(), random.Random(13)
+    check, rng = cli._check(), random.Random(13)
     verdicts, disagreements = set(), []
     for k in range(3000):
         doc = json.loads(GOLDEN_DOCS[k % len(GOLDEN_DOCS)])
         _mutate(doc, rng)
-        verdict = validator.is_valid(doc)
-        verdicts.add(verdict)
-        if accepts(doc) != verdict:
+        message = _oracle_message(doc)
+        verdicts.add(message is None)
+        if check(doc) != message:
             disagreements.append(doc)
     assert disagreements == []
     assert verdicts == {True, False}
@@ -369,12 +379,31 @@ PINNED = {
 def test_compiled_schema_pinned_cases(case):
     base, edit, expected = PINNED[case]
     doc = _with(base, edit)
-    assert cli._accepts()(doc) is expected
-    assert cli._validator().is_valid(doc) is expected
+    message = _oracle_message(doc)
+    assert (message is None) is expected
+    assert cli._check()(doc) == message
+
+
+# two nodes at one path: the minimum error comes first, but its instance
+# matches its node's type, and the enum node has none, so best_match takes the enum error
+TYPE_RULE = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "properties": {"a": {"type": "integer", "minimum": 3, "$ref": "#/$defs/x"}},
+    "$defs": {"x": {"enum": ["x"]}},
+}
+
+
+@pytest.mark.parametrize("a", [2, 5, "x", "y"])
+def test_compiled_schema_prefers_an_instance_that_misses_its_node_type(a):
+    error = jsonschema.exceptions.best_match(jsonschema.Draft202012Validator(TYPE_RULE).iter_errors({"a": a}))
+    message = cli.compile_schema(TYPE_RULE)({"a": a})
+    assert message == error.message
+    assert a != 2 or message == "2 is not one of ['x']"
 
 
 @pytest.mark.parametrize("schema", [
     {"maxItems": 1},
+    {"minItems": 2},
     {"additionalProperties": {}},
     {"$ref": "other.json#/$defs/leading_term"},
     {"$schema": "http://json-schema.org/draft-04/schema#"},
