@@ -79,8 +79,8 @@ def compile_schema(schema: dict):
     else the message of the error `best_match` picks: the first in
     `iter_errors` order (keywords and properties in schema order, items by
     index, `$ref` in place) with the greatest key (-len(path), path, the
-    instance does not match its node's "type").  A keyword the datum schema
-    does not use raises ValueError, so no edit to the schema goes unseen."""
+    instance does not match its node's "type").  A keyword or value it does
+    not cover raises ValueError, so no edit to the schema goes unseen."""
 
     def node(sub: dict):
         checks = [keyword(key, value, sub) for key, value in sub.items()
