@@ -347,10 +347,23 @@ def _report(operation: str, digest: str | None, payload: dict) -> dict:
     return rep
 
 
+def _validation_report(datum: TorusDatum, witness) -> ValidationReport:
+    """validate's report on a parsed document; for a distinction document,
+    the witness violations, which include validate's on the datum over E."""
+    return ValidationReport(witness_violations(witness)) if witness else validate(datum)
+
+
+def _require_valid(datum: TorusDatum, witness):
+    """Raise DomainError unless the document is valid: a command gives no
+    verdict on a document that validation rejects."""
+    report = _validation_report(datum, witness)
+    if not report.ok:
+        raise DomainError("invalid datum: " + "; ".join(report.violations))
+
+
 def cmd_validate(args) -> tuple[dict, int]:
     doc, digest = load_document(args.path)
-    datum, witness = parse_datum(doc)
-    report = ValidationReport(witness_violations(witness)) if witness else validate(datum)
+    report = _validation_report(*parse_datum(doc))
     payload = {"result": report.as_dict()}
     return _report("validate", digest, payload), 0 if report.ok else 1
 
@@ -387,8 +400,10 @@ def cmd_predict(args) -> tuple[dict, int]:
 def cmd_equiv(args) -> tuple[dict, int]:
     doc_a, dig_a = load_document(args.path_a)
     doc_b, dig_b = load_document(args.path_b)
-    a, _ = parse_datum(doc_a)
-    b, _ = parse_datum(doc_b)
+    a, witness_a = parse_datum(doc_a)
+    b, witness_b = parse_datum(doc_b)
+    _require_valid(a, witness_a)
+    _require_valid(b, witness_b)
     verdict = datum_equivalent(a, b, mode=args.mode)
     payload = {"input_sha256_b": dig_b, "result": {"equivalent": verdict, "mode": args.mode}}
     return _report("equiv", dig_a, payload), 0
@@ -396,7 +411,8 @@ def cmd_equiv(args) -> tuple[dict, int]:
 
 def cmd_blocks(args) -> tuple[dict, int]:
     doc, digest = load_document(args.path)
-    datum, _ = parse_datum(doc)
+    datum, witness = parse_datum(doc)
+    _require_valid(datum, witness)
     decomposition = block_decompose(datum)
     payload = {"result": {"levels": decomposition.as_dict()}}
     return _report("blocks", digest, payload), 0

@@ -1,12 +1,13 @@
 """Parameter-level theta lifts and distinction transport.
 
 The lift sends a symplectic datum (L, L0, c, chi) to the orthogonal datum
-of its theta partner: blockwise by depth, with c_theta = c * tau * pi on
-the depth-zero block (tau a trace-zero unit, pi the base uniformizer) and
-c_theta = -c * gamma on a positive-depth block, the character inverted
-throughout.  The target quadratic space is classified by quadform, and on
-the depth-zero block cross-checked against the parity prediction: with
-r = #{factors with even val(c)} and s = #{odd},
+of its theta partner factor by factor: c_theta = c * tau * pi on a
+gamma-free (depth-zero) factor, tau a trace-zero unit and pi the base
+uniformizer, and c_theta = -c * gamma at the top level of every other
+factor, the character inverted throughout.  The target quadratic space is
+classified by quadform as the orthogonal sum of the depth-zero part and the
+rest.  The depth-zero part is cross-checked against the parity prediction:
+with r = #{factors with even val(c)} and s = #{odd},
 
     disc(V) = 1 iff r + s is even, and the Hasse sign is (-1)^r,
 
@@ -81,9 +82,11 @@ class SymmetryAssertionFailed(DomainError):
 class ThetaResult(Value):
     """Lifted orthogonal datum with its computed and predicted invariants.
 
-    predicted_invariants uses the depth-zero parity table where it applies
-    and the computed invariants on positive blocks; the two fields agreeing
-    is an internal consistency guarantee, not a data condition.
+    The lift raises unless the computed invariants of its depth-zero part
+    equal the parity prediction, and nothing predicts the positive-depth
+    part apart from computing it, so predicted_invariants always equals
+    target_invariants.  choices records the uniformizer and each depth-zero
+    factor's tau under the factor's index; it is empty without such factors.
     """
 
     __slots__ = _fields = ("lifted", "target_invariants", "predicted_invariants", "so", "choices")
@@ -103,6 +106,10 @@ class ThetaResult(Value):
         set_field(self, "choices", choices)
 
 
+# ---------------------------------------------------------------------------
+# the lift
+
+
 def _embed_base_term(lt: LeadingTerm, field: TameFieldDescriptor) -> LeadingTerm:
     """Push a leading term of the base field into a factor field L."""
     k_base = lt.field.residue_field()
@@ -115,15 +122,9 @@ def default_uniformizer(base: TameFieldDescriptor) -> LeadingTerm:
     return LeadingTerm(base, 1, base.residue_field().one(), SYM_FIXED, SYM_FIXED)
 
 
-def _lifted_factor(factor: Factor, c_theta: LeadingTerm, q: int) -> Factor:
-    """The factor with c_theta in place of c and its character data inverted."""
-    mod = factor.chi0_modulus(q)
-    gammas = tuple((r, lt_neg(g)) for r, g in factor.gamma_levels)
-    return Factor(factor.m, factor.step, c_theta, (-factor.chi0) % mod, gammas)
-
-
-# ---------------------------------------------------------------------------
-# depth zero
+def _term_choice(lt: LeadingTerm) -> dict:
+    """A leading-term choice as its report records it."""
+    return {"val": lt.val, "residue": list(lt.residue.coeffs)}
 
 
 def parity_predict(datum: TorusDatum):
@@ -147,13 +148,9 @@ def lift_depth_zero(
     uniformizer: LeadingTerm | None = None,
     taus: dict | None = None,
 ) -> ThetaResult:
-    """Theta lift of a depth-zero symplectic datum: factor-wise
-    c_theta = c * tau * pi with the character exponent negated.
-
-    tau defaults to the canonical trace-zero unit of each factor; explicit
-    choices may be supplied per factor index.  The computed invariants are
-    cross-checked against the parity prediction.
-    """
+    """Theta lift of a depth-zero symplectic datum in general position,
+    without the rest of validation: the lift map on a datum whose factors
+    are all unramified and gamma-free."""
     if datum.polarity != POLARITY_SYMPLECTIC:
         raise DomainError("theta lift starts from a symplectic datum")
     for f in datum.factors:
@@ -161,67 +158,18 @@ def lift_depth_zero(
             raise NotDepthZero("depth-zero lift needs an unramified gamma-free datum")
     if not depth_zero_general_position(datum):
         raise NotGeneralPosition("depth-zero exponents have a nontrivial Weyl stabilizer")
-    return _lift_zero_block(datum, uniformizer, taus)
-
-
-def _lift_zero_block(datum: TorusDatum, uniformizer, taus) -> ThetaResult:
-    """The depth-zero map on a symplectic block already known to be
-    unramified, gamma-free and in general position."""
-    q = datum.base.q_base
-    if uniformizer is None:
-        uniformizer = default_uniformizer(datum.base)
-    if uniformizer.val != 1:
-        raise DomainError("uniformizer must have valuation 1")
-    lifted = []
-    tau_record = {}
-    for i, f in enumerate(datum.factors):
-        field = f.c.field
-        tau = (taus or {}).get(i) or canonical_tau(field)
-        if tau.field != field or tau.val != 0 or tau.sym != SYM_ANTI:
-            raise DomainError(f"factor {i}: tau must be a trace-zero unit of L")
-        pw = _embed_base_term(uniformizer, field)
-        c_theta = lt_mul(lt_mul(f.c, tau), pw)
-        lifted.append(_lifted_factor(f, c_theta, q))
-        tau_record[str(i)] = {"val": tau.val, "residue": list(tau.residue.coeffs)}
-    out = TorusDatum(datum.base, tuple(lifted), POLARITY_ORTHOGONAL)
-    target = invariants_of_orthogonal_datum(out)
-    predicted, so = parity_predict(datum)
-    if target != predicted:
-        raise DomainError(
-            f"internal cross-check failed: computed {target} vs predicted {predicted}"
-        )
-    choices = {
-        "uniformizer": {"val": uniformizer.val, "residue": list(uniformizer.residue.coeffs)},
-        "tau": tau_record,
-    }
-    return ThetaResult(out, target, predicted, so, choices)
-
-
-# ---------------------------------------------------------------------------
-# positive depth
+    return _lift_factors(datum, uniformizer, taus)
 
 
 def lift_positive_block(datum: TorusDatum) -> ThetaResult:
-    """Theta lift of a single positive-depth block: factor-wise
-    c_theta = -(c * gamma) at the top level, character data inverted."""
+    """Theta lift of a symplectic datum whose factors share one positive
+    depth, without the rest of validation."""
     if datum.polarity != POLARITY_SYMPLECTIC:
         raise DomainError("theta lift starts from a symplectic datum")
     depths = {f.depth for f in datum.factors}
     if len(depths) != 1 or 0 in depths:
         raise NotSingleBlock(f"factors carry depths {sorted(depths)}")
-    return _lift_positive(datum)
-
-
-def _lift_positive(datum: TorusDatum) -> ThetaResult:
-    """The positive-depth map on a symplectic block of a single depth."""
-    q = datum.base.q_base
-    lifted = []
-    for f in datum.factors:
-        c_theta = lt_neg(lt_mul(f.c, f.top_gamma()))
-        lifted.append(_lifted_factor(f, c_theta, q))
-    out = TorusDatum(datum.base, tuple(lifted), POLARITY_ORTHOGONAL)
-    target = invariants_of_orthogonal_datum(out)
-    return ThetaResult(out, target, target, so_type(target), choices={})
+    return _lift_factors(datum)
 
 
 def validate_for_lift(datum: TorusDatum):
@@ -238,38 +186,57 @@ def lift(
     uniformizer: LeadingTerm | None = None,
     taus: dict | None = None,
 ) -> ThetaResult:
-    """Blockwise theta lift of a valid symplectic datum."""
+    """Theta lift of a valid symplectic datum."""
     validate_for_lift(datum)
-    return _lift_blocks(datum, uniformizer, taus)
+    return _lift_factors(datum, uniformizer, taus)
 
 
-def _lift_blocks(datum: TorusDatum, uniformizer=None, taus=None) -> ThetaResult:
-    """The lift of a validated symplectic datum.
+def _lift_factors(datum: TorusDatum, uniformizer=None, taus=None) -> ThetaResult:
+    """The lift map, one pass over the factors of a symplectic datum.
 
-    The zero block goes through the depth-zero map, every positive block
-    through the positive-depth map; factors are reassembled in their
-    original order.  Each block's invariants are computed once, and the
-    totals composed by the orthogonal sum law once: a block's predicted
-    invariants equal its target ones (checked at depth zero, copied above).
+    A gamma-free factor i gets c_theta = c * tau_i * pi, with tau_i = taus[i]
+    or the canonical trace-zero unit of L_i and pi the uniformizer; every
+    other factor gets c_theta = -(c * gamma) at its top level; every factor's
+    character data are inverted.  The invariants of the lifted depth-zero
+    factors, cross-checked against the parity prediction, and those of the
+    rest are computed once each and composed by the orthogonal sum law.
     """
     q = datum.base.q_base
-    new_factors = [None] * len(datum.factors)
+    levels = block_decompose(datum).levels
+    zero = levels[-1][1] if levels and levels[-1][0] == 0 else ()  # the gamma-free factors
+    if zero:
+        if uniformizer is None:
+            uniformizer = default_uniformizer(datum.base)
+        if uniformizer.val != 1:
+            raise DomainError("uniformizer must have valuation 1")
+    lifted = []
+    tau_record = {}
+    for i, f in enumerate(datum.factors):
+        if f.gamma_levels:
+            c_theta = lt_neg(lt_mul(f.c, f.top_gamma()))
+        else:
+            field = f.c.field
+            tau = (taus or {}).get(i) or canonical_tau(field)
+            if tau.field != field or tau.val != 0 or tau.sym != SYM_ANTI:
+                raise DomainError(f"factor {i}: tau must be a trace-zero unit of L")
+            c_theta = lt_mul(lt_mul(f.c, tau), _embed_base_term(uniformizer, field))
+            tau_record[str(i)] = _term_choice(tau)
+        gammas = tuple((r, lt_neg(g)) for r, g in f.gamma_levels)
+        lifted.append(Factor(f.m, f.step, c_theta, (-f.chi0) % f.chi0_modulus(q), gammas))
+    out = TorusDatum(datum.base, tuple(lifted), POLARITY_ORTHOGONAL)
     target = QuadInvariants(0, SQ_ONE, 1)
     choices = {}
-    for r, indices in block_decompose(datum).levels:
-        sub = datum.replace_factors(datum.factors[i] for i in indices)
-        if r == 0:
-            sub_taus = None
-            if taus:
-                sub_taus = {j: taus.get(i) for j, i in enumerate(indices) if taus.get(i)}
-            res = _lift_zero_block(sub, uniformizer, sub_taus)
-            choices.update(res.choices)
-        else:
-            res = _lift_positive(sub)
-        for j, i in enumerate(indices):
-            new_factors[i] = res.lifted.factors[j]
-        target = orthogonal_sum(target, res.target_invariants, q)
-    out = TorusDatum(datum.base, tuple(new_factors), POLARITY_ORTHOGONAL)
+    if zero:
+        target = invariants_of_orthogonal_datum(out.replace_factors(lifted[i] for i in zero))
+        predicted, _ = parity_predict(datum.replace_factors(datum.factors[i] for i in zero))
+        if target != predicted:
+            raise DomainError(
+                f"internal cross-check failed: computed {target} vs predicted {predicted}"
+            )
+        choices = {"uniformizer": _term_choice(uniformizer), "tau": tau_record}
+    if len(zero) < len(lifted):
+        rest = out.replace_factors(f for f in lifted if f.gamma_levels)
+        target = orthogonal_sum(target, invariants_of_orthogonal_datum(rest), q)
     if target.dim != 2 * datum.n:
         raise DomainError("equal-rank violation: lifted dimension is not 2n")
     return ThetaResult(out, target, target, so_type(target), choices)
@@ -438,7 +405,7 @@ def distinction_transport(w: DistinctionWitness) -> TransportResult:
     if not verdict.distinguished:
         raise DomainError("transport requires a distinguished witness")
     datum_e = w.datum_over_e
-    lifted = _lift_blocks(datum_e)  # witness_violations has validated datum_e
+    lifted = _lift_factors(datum_e)  # witness_violations has validated datum_e
     iota = canonical_iota(w.base_f_field)
     k_e = iota.field.residue_field()
 
@@ -467,8 +434,8 @@ def distinction_transport(w: DistinctionWitness) -> TransportResult:
     }
     pi_e = canonical_sigma_uniformizer(w.base_f_field)
     choices = {
-        "iota": {"val": iota.val, "residue": list(iota.residue.coeffs)},
-        "sigma_uniformizer": {"val": pi_e.val, "residue": list(pi_e.residue.coeffs)},
+        "iota": _term_choice(iota),
+        "sigma_uniformizer": _term_choice(pi_e),
     }
     return TransportResult(twisted, inv_e, f_datum, inv_f, so_type(inv_f), choices, checks)
 

@@ -578,6 +578,35 @@ def _domain_error(tmp_path, args, doc):
     return rep["error"]
 
 
+# rejected by validate: a gamma-free factor on a ramified tower; and an
+# anti-flagged c at even valuation on a ramified tower, beside a valid datum
+RAMIFIED_GAMMA = {
+    "base": {"p": 5, "f": 1},
+    "polarity": "symplectic",
+    "factors": [{"m": 1, "step": "ramified", "c": {"val": 1, "residue_coeffs": [2], "sym": "anti"},
+                 "chi0": 1, "gamma": [{"r": "1/2", "residue_coeffs": [3]}]}],
+}
+RAMIFIED_GAMMA_FREE = _with(RAMIFIED_GAMMA, lambda d: d["factors"][0].pop("gamma"))
+FLAG_INCONSISTENT = _with(RAMIFIED_GAMMA, lambda d: d["factors"][0]["c"].update(val=0))
+
+
+@pytest.mark.parametrize("args, docs, violation", [
+    (["blocks"], [RAMIFIED_GAMMA_FREE], "depth-zero factor on a ramified tower"),
+    (["equiv"], [RAMIFIED_GAMMA_FREE, RAMIFIED_GAMMA_FREE], "depth-zero factor on a ramified tower"),
+    (["equiv"], [FLAG_INCONSISTENT, RAMIFIED_GAMMA], "declared anti flag contradicts"),
+])
+def test_equiv_and_blocks_give_no_verdict_on_an_invalid_document(tmp_path, capsys, args, docs,
+                                                                 violation):
+    paths = [write(tmp_path, doc, f"d{i}.json") for i, doc in enumerate(docs)]
+    code = main([*args, *paths])
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert (code, report["kind"], err) == (1, "DomainError", "")
+    assert report["error"].startswith("invalid datum: factor 0: ") and violation in report["error"]
+    _, rep = run_cli(["validate", paths[0]], tmp_path)
+    assert report["error"] == "invalid datum: " + "; ".join(rep["result"]["violations"])
+
+
 def test_gamma_depth_with_zero_denominator_is_a_domain_error(tmp_path):
     doc = _with(WITNESS, lambda d: d["factors"][0]["gamma"][0].update(r="1/0"))
     assert "zero denominator" in _domain_error(tmp_path, ["lift"], doc)

@@ -16,6 +16,7 @@ from thetaparam.localfield import (
     base_field,
     canonical_tau,
     factor_field,
+    lt_mul,
     sym_compose,
 )
 from thetaparam.quadform import (
@@ -29,8 +30,10 @@ from thetaparam.theta import (
     InvalidWitness,
     NotGeneralPosition,
     NotSingleBlock,
+    _embed_base_term,
     canonical_iota,
     canonical_sigma_uniformizer,
+    default_uniformizer,
     descend_to_f,
     distinction_transport,
     distinguished_check,
@@ -84,8 +87,6 @@ def test_lift_depth_zero_pinned_example():
 
 def test_embedded_uniformizer_valuation_in_ramified_field():
     # the base uniformizer sits at valuation e inside a factor field
-    from thetaparam.theta import _embed_base_term, default_uniformizer
-
     lr = factor_field(BASE5, 1, STEP_RAMIFIED)
     pw = _embed_base_term(default_uniformizer(BASE5), lr)
     assert pw.val == 2 and pw.sym == SYM_FIXED
@@ -215,9 +216,11 @@ def test_lift_blockwise_consistency():
 
 
 def test_lift_blockwise_sum_equals_total_on_criterion_2_data():
-    """lift composes the block invariants by the orthogonal sum law; on the
-    criterion-2 data that sum, the invariants recomputed on the whole lifted
-    datum, and the reported target invariants all agree."""
+    """On the criterion-2 data, the orthogonal sum of the blocks' invariants,
+    the invariants recomputed on the whole lifted datum, and the reported
+    target invariants all agree; and on each block, lift_depth_zero or
+    lift_positive_block returns lift's result in every field, choices
+    included, with canonical and with seeded choices."""
     rng = random.Random(202)
     for i in range(500):
         p = 5 if i % 2 == 0 else 7
@@ -227,6 +230,10 @@ def test_lift_blockwise_sum_equals_total_on_criterion_2_data():
         for r, indices in block_decompose(d).levels:
             sub = d.replace_factors(d.factors[j] for j in indices)
             block = lift_depth_zero(sub) if r == 0 else lift_positive_block(sub)
+            assert block == lift(sub), sub
+            if r == 0:
+                uniformizer, taus = seeded_choices(sub, i)
+                assert lift_depth_zero(sub, uniformizer, taus) == lift(sub, uniformizer, taus), sub
             blockwise = orthogonal_sum(blockwise, block.target_invariants, p)
         total = invariants_of_orthogonal_datum(res.lifted)
         assert blockwise == total == res.target_invariants, (d, blockwise, total)
@@ -253,12 +260,36 @@ def test_lift_five_factor_depth_zero_datum():
 def test_lift_pure_blocks_match_special_cases():
     rng = random.Random(5)
     d0 = gen.random_depth_zero_datum(5, rng, 3)
-    assert lift(d0).lifted == lift_depth_zero(d0).lifted
+    assert lift(d0) == lift_depth_zero(d0)
     lr = factor_field(BASE5, 1, STEP_RAMIFIED)
     c = LeadingTerm(lr, 1, lr.residue_field().element([1]), SYM_ANTI)
     g = (Fraction(1, 2), LeadingTerm(lr, -1, lr.residue_field().element([2]), SYM_ANTI))
     dp = TorusDatum(BASE5, (Factor(1, STEP_RAMIFIED, c, 1, (g,)),), POLARITY_SYMPLECTIC)
-    assert lift(dp).lifted == lift_positive_block(dp).lifted
+    assert lift(dp) == lift_positive_block(dp)
+
+
+def test_lift_applies_and_reports_each_tau_under_its_factor_index():
+    """[positive, zero, zero]: tau_i multiplies factor i, and the report
+    keys each tau by the index of its factor, not by its place in the
+    depth-zero block."""
+    tau = canonical_tau(L5U)
+    g = (Fraction(1), LeadingTerm(L5U, -1, tau.residue, SYM_ANTI))
+    d = TorusDatum(BASE5, (
+        Factor(1, STEP_UNRAMIFIED, tau, 1, (g,)),
+        Factor(1, STEP_UNRAMIFIED, tau, 1),
+        Factor(1, STEP_UNRAMIFIED, LeadingTerm(L5U, 1, tau.residue, SYM_ANTI), 2),
+    ), POLARITY_SYMPLECTIC)
+    k = L5U.residue_field()
+    scale = {i: fq_embedding(fq_make(5, 1), k).apply(fq_make(5, 1).element([s]))
+             for i, s in ((1, 2), (2, 3))}
+    taus = {i: LeadingTerm(L5U, 0, tau.residue * x, SYM_ANTI) for i, x in scale.items()}
+    res = lift(d, taus=taus)
+    pi = _embed_base_term(default_uniformizer(BASE5), L5U)
+    for i in (1, 2):
+        assert res.lifted.factors[i].c == lt_mul(lt_mul(d.factors[i].c, taus[i]), pi)
+    assert res.choices["tau"] == {
+        str(i): {"val": 0, "residue": list(taus[i].residue.coeffs)} for i in (1, 2)
+    }
 
 
 def test_choice_independence_sample():
