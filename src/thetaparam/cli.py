@@ -376,11 +376,12 @@ def cmd_lift(args) -> tuple[dict, int]:
     else:
         uniformizer, taus = None, None
     res = lift(datum, uniformizer, taus)
+    invariants = res.target_invariants.as_dict()
     payload = {
         "result": {
             "lifted": datum_to_json(res.lifted),
-            "invariants": res.target_invariants.as_dict(),
-            "predicted_invariants": res.predicted_invariants.as_dict(),
+            "invariants": invariants,
+            "predicted_invariants": invariants,
             "so_type": res.so.as_dict(),
         },
         "choices": res.choices,

@@ -80,28 +80,20 @@ class SymmetryAssertionFailed(DomainError):
 
 
 class ThetaResult(Value):
-    """Lifted orthogonal datum with its computed and predicted invariants.
+    """Lifted orthogonal datum with its invariants.
 
     The lift raises unless the computed invariants of its depth-zero part
     equal the parity prediction, and nothing predicts the positive-depth
-    part apart from computing it, so predicted_invariants always equals
-    target_invariants.  choices records the uniformizer and each depth-zero
-    factor's tau under the factor's index; it is empty without such factors.
+    part apart from computing it.  choices records the uniformizer and each
+    depth-zero factor's tau under the factor's index; it is empty without
+    such factors.
     """
 
-    __slots__ = _fields = ("lifted", "target_invariants", "predicted_invariants", "so", "choices")
+    __slots__ = _fields = ("lifted", "target_invariants", "so", "choices")
 
-    def __init__(
-        self,
-        lifted: TorusDatum,
-        target_invariants: QuadInvariants,
-        predicted_invariants: QuadInvariants,
-        so: SOType,
-        choices: dict,
-    ):
+    def __init__(self, lifted: TorusDatum, target_invariants: QuadInvariants, so: SOType, choices: dict):
         set_field(self, "lifted", lifted)
         set_field(self, "target_invariants", target_invariants)
-        set_field(self, "predicted_invariants", predicted_invariants)
         set_field(self, "so", so)
         set_field(self, "choices", choices)
 
@@ -239,7 +231,7 @@ def _lift_factors(datum: TorusDatum, uniformizer=None, taus=None) -> ThetaResult
         target = orthogonal_sum(target, invariants_of_orthogonal_datum(rest), q)
     if target.dim != 2 * datum.n:
         raise DomainError("equal-rank violation: lifted dimension is not 2n")
-    return ThetaResult(out, target, target, so_type(target), choices)
+    return ThetaResult(out, target, so_type(target), choices)
 
 
 # ---------------------------------------------------------------------------

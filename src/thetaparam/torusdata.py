@@ -11,6 +11,7 @@ orthogonal data fixed-flagged c.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from .errors import DomainError
@@ -350,46 +351,25 @@ def datum_equivalent(a: TorusDatum, b: TorusDatum, mode: str = "weyl") -> bool:
     """Equivalence of data: a factor bijection respecting towers such that
     some tower isomorphism carries c into the norm class of its partner and
     transports the character data (exactly for mode='strict', up to the
-    finite Weyl action for mode='weyl', the default)."""
+    finite Weyl action for mode='weyl', the default).  These isomorphisms
+    form a group acting on c's norm class and on the character data, so the
+    factor pair relation is an orbit relation in both modes (weyl lets one
+    element move c and another the character), and a bijection exists
+    exactly when each class has as many factors in a as in b.
+    """
     if mode not in ("weyl", "strict"):
         raise DomainError(f"unknown equivalence mode {mode!r}")
     if a.polarity != b.polarity:
         raise PolarityMismatch(f"{a.polarity} vs {b.polarity}")
     if a.base != b.base or len(a.factors) != len(b.factors):
         return False
-    q = a.base.q_base
-    n = len(a.factors)
-    distinct_a, distinct_b = {}, {}  # factor -> its index among the distinct factors of its side
-    rows = [distinct_a.setdefault(f, len(distinct_a)) for f in a.factors]
-    cols = [distinct_b.setdefault(f, len(distinct_b)) for f in b.factors]
-    verdicts = [[_factor_pair_equivalent(fa, fb, q, mode) for fb in distinct_b] for fa in distinct_a]
-    feasible = [[verdicts[i][j] for j in cols] for i in rows]
-    return _has_perfect_matching(feasible, n)
-
-
-def _has_perfect_matching(feasible, n) -> bool:
-    """Kuhn's augmenting paths on an explicit stack, so that a path may be n
-    rows long; a row takes a free feasible column when it has one."""
-    cols = [[j for j in range(n) if row[j]] for row in feasible]
-    row_of, col_of = [None] * n, [None] * n  # the row matched to each column, and vice versa
-    for i in range(n):
-        end = next((j for j in cols[i] if row_of[j] is None), None)
-        reached_from = {} if end is None else {end: i}  # column -> the row whose search reached it
-        stack = [(i, iter(cols[i]))]
-        while end is None and stack:
-            row, rest = stack[-1]
-            j = next((j for j in rest if j not in reached_from), None)
-            if j is None:
-                stack.pop()
-                continue
-            reached_from[j] = row
-            if row_of[j] is None:
-                end = j
+    classes = []  # [representative, count of a minus count of b]
+    for side, sign in ((a, 1), (b, -1)):
+        for f, count in Counter(side.factors).items():
+            for cls in classes:
+                if _factor_pair_equivalent(cls[0], f, a.base.q_base, mode):
+                    cls[1] += sign * count
+                    break
             else:
-                stack.append((row_of[j], iter(cols[row_of[j]])))
-        if end is None:
-            return False
-        while end is not None:  # flip the path back to row i; end moves to row's old column last
-            row = reached_from[end]
-            row_of[end], col_of[row], end = row, end, col_of[row]
-    return True
+                classes.append([f, sign * count])
+    return all(count == 0 for _, count in classes)

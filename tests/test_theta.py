@@ -81,7 +81,7 @@ def test_lift_depth_zero_pinned_example():
     assert f.c.residue == u_embedded  # tau^2 = u = 2
     assert f.chi0 == (-1) % 6
     assert res.target_invariants == QuadInvariants(2, SQ_U, -1)
-    assert res.predicted_invariants == res.target_invariants
+    assert res.target_invariants == parity_predict(tau_datum())[0]
     assert res.so.label == "quasi_split_unramified"
 
 
@@ -209,7 +209,11 @@ def test_lift_blockwise_consistency():
         d = gen.random_mixed_datum(rng.choice([5, 7]), rng, 4)
         res = lift(d)
         assert res.target_invariants.dim == 2 * d.n
-        assert res.target_invariants == res.predicted_invariants
+        zero = [i for i, f in enumerate(d.factors) if not f.gamma_levels]
+        if zero:  # the depth-zero part's invariants are the parity prediction
+            lifted_zero = res.lifted.replace_factors(res.lifted.factors[i] for i in zero)
+            predicted, _ = parity_predict(d.replace_factors(d.factors[i] for i in zero))
+            assert invariants_of_orthogonal_datum(lifted_zero) == predicted
         assert validate(res.lifted).ok
         # every lifted c is fixed-flagged
         assert all(f.c.sym == SYM_FIXED for f in res.lifted.factors)

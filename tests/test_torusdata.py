@@ -24,7 +24,6 @@ from thetaparam.torusdata import (
     PolarityMismatch,
     NotDepthZero,
     TorusDatum,
-    _has_perfect_matching,
     block_decompose,
     datum_equivalent,
     is_general_position,
@@ -127,28 +126,41 @@ def test_equivalence_polarity_mismatch():
         datum_equivalent(d, ortho)
 
 
-def test_perfect_matching_follows_an_augmenting_path_through_every_row():
-    # rows i < n - 1 take columns i and i + 1, the last row only column 0:
-    # matching the last row shifts every other row by one column
-    n = 1500
-    feasible = [[j in (i, i + 1) for j in range(n)] for i in range(n - 1)]
-    feasible.append([j == 0 for j in range(n)])
-    assert _has_perfect_matching(feasible, n)
-    feasible[-1][0] = False
-    assert not _has_perfect_matching(feasible, n)
+def twisted(f, iso, q, move_c=True):
+    """f with its character data, and c too when move_c, moved by a tower
+    isomorphism: strictly equivalent to f when move_c, else up to Weyl."""
+    c = torusdata._apply_iso(f.c, iso, q) if move_c else f.c
+    gammas = tuple((r, torusdata._apply_iso(g, iso, q)) for r, g in f.gamma_levels)
+    return Factor(f.m, f.step, c, f.chi0 * q ** iso[0] % f.chi0_modulus(q), gammas)
 
 
-def test_perfect_matching_matches_permutation_oracle():
-    rng = random.Random(7)
-    for _ in range(500):
-        n = rng.randint(0, 6)
-        density = rng.random()
-        feasible = [[rng.random() < density for _ in range(n)] for _ in range(n)]
-        expected = any(all(feasible[i][p[i]] for i in range(n)) for p in itertools.permutations(range(n)))
-        assert _has_perfect_matching(feasible, n) == expected
+def twist_pool(p, rng, n_seeds):
+    """Factors over Q_p, each with a norm rescaling and two twists by one
+    tower isomorphism, of the character data with c and without it."""
+    pool = []
+    for _ in range(n_seeds):
+        f = rng.choice(gen.random_mixed_datum(p, rng, 2).factors)
+        iso = rng.choice(torusdata._tower_isos(f))
+        pool += [f, norm_rescaled(f, rng), twisted(f, iso, p), twisted(f, iso, p, move_c=False)]
+    return pool
 
 
-def test_equivalence_compares_each_pair_of_distinct_factors_once(monkeypatch):
+def ramified_equivalent_factors(n):
+    """n (even) distinct, pairwise equivalent ramified factors over Q_5: c of
+    valuation 2i + 1 and residue 1 or 4, both squares, one gamma at r = 1/2."""
+    lr = factor_field(BASE5, 1, STEP_RAMIFIED)
+    k = lr.residue_field()
+    gamma = ((Fraction(1, 2), LeadingTerm(lr, -1, k.one(), SYM_ANTI)),)
+    return [
+        Factor(1, STEP_RAMIFIED, LeadingTerm(lr, 2 * i + 1, k.element([res]), SYM_ANTI), 1, gamma)
+        for i in range(n // 2)
+        for res in (1, 4)
+    ]
+
+
+@pytest.fixture
+def pair_calls(monkeypatch):
+    """The (fa, fb) arguments of every _factor_pair_equivalent call."""
     calls = []
     pair_equivalent = torusdata._factor_pair_equivalent
 
@@ -157,45 +169,70 @@ def test_equivalence_compares_each_pair_of_distinct_factors_once(monkeypatch):
         return pair_equivalent(fa, fb, q, mode)
 
     monkeypatch.setattr(torusdata, "_factor_pair_equivalent", counted)
+    return calls
+
+
+def test_equivalence_compares_repeated_factors_once(pair_calls):
     d = simple_datum()
     many = d.replace_factors(d.factors * 300)
     assert datum_equivalent(many, many)
-    assert calls == [(d.factors[0], d.factors[0])]
-    calls.clear()
+    assert pair_calls == [(d.factors[0], d.factors[0])]
+    pair_calls.clear()
     other = simple_datum(chi0=2).factors[0]
     mixed = d.replace_factors((other,) + d.factors * 299)
     assert not datum_equivalent(many, mixed, mode="strict")
-    assert len(calls) == 2
+    assert len(pair_calls) == 2
+
+
+def test_equivalence_compares_distinct_equivalent_factors_with_one_representative(pair_calls):
+    """200 distinct, pairwise equivalent factors a side form one class: each
+    factor is compared with its representative, not with every factor of
+    the other side (40,000 calls)."""
+    factors = ramified_equivalent_factors(200)
+    a = TorusDatum(BASE5, tuple(factors), POLARITY_SYMPLECTIC)
+    assert len(set(factors)) == 200
+    assert datum_equivalent(a, a.replace_factors(reversed(factors)))
+    assert len(pair_calls) <= 400
 
 
 @pytest.mark.parametrize("mode", ["weyl", "strict"])
 def test_equivalence_matches_full_matrix_definition_with_repeated_factors(mode):
-    """Draw both sides from a small pool (so factors repeat, and some pairs
-    are equal only up to a norm) and compare with a bijection search over
-    every pair of factors."""
+    """Draw both sides from a small pool of twists and norm rescalings (so
+    factors repeat, and some pairs are equal only up to an isomorphism or a
+    norm) and compare with a bijection search over every pair of factors."""
     rng = random.Random(41)
-    pool = []
-    while len(pool) < 8:
-        f = rng.choice(gen.random_mixed_datum(5, rng, 2).factors)
-        if f.m == 1:
-            pool += [f, norm_rescaled(f, rng)]
-    verdicts = set()
-    for _ in range(150):
-        n = rng.randint(1, 5)
-        fa = [rng.choice(pool) for _ in range(n)]
-        fb = [rng.choice(pool) if rng.random() < 0.3 else f for f in rng.sample(fa, n)]
-        a, b = (TorusDatum(BASE5, tuple(fs), POLARITY_SYMPLECTIC) for fs in (fa, fb))
-        expected = any(
-            all(torusdata._factor_pair_equivalent(fa[i], fb[p[i]], 5, mode) for i in range(n))
-            for p in itertools.permutations(range(n))
-        )
-        assert datum_equivalent(a, b, mode) == expected
-        verdicts.add(expected)
-    assert verdicts == {True, False}
+    for p in (3, 5, 7):
+        base = base_field(p)
+        pool = twist_pool(p, rng, 3)
+        verdicts = set()
+        for _ in range(100):
+            n = rng.randint(1, 5)
+            fa = [rng.choice(pool) for _ in range(n)]
+            fb = [rng.choice(pool) if rng.random() < 0.3 else f for f in rng.sample(fa, n)]
+            a, b = (TorusDatum(base, tuple(fs), POLARITY_SYMPLECTIC) for fs in (fa, fb))
+            pair = [[torusdata._factor_pair_equivalent(x, y, p, mode) for y in fb] for x in fa]
+            expected = any(all(pair[i][s[i]] for i in range(n)) for s in itertools.permutations(range(n)))
+            assert datum_equivalent(a, b, mode) == expected
+            verdicts.add(expected)
+        assert verdicts == {True, False}, p
 
 
 def test_equivalence_is_equivalence_relation_on_random_data():
+    """The pair relation is reflexive, symmetric and transitive on pools of
+    twists in both modes (the premise of counting factors per class), and
+    the modes differ at p = 3 and 7, where -1 is not a square."""
     rng = random.Random(1)
+    for p in (3, 5, 7):
+        pool = twist_pool(p, rng, 4)
+        relations = {}
+        for mode in ("weyl", "strict"):
+            rel = [[torusdata._factor_pair_equivalent(x, y, p, mode) for y in pool] for x in pool]
+            relations[mode] = rel
+            ix = range(len(pool))
+            assert all(rel[i][i] for i in ix)
+            assert all(rel[i][j] == rel[j][i] for i in ix for j in ix)
+            assert all(rel[i][k] for i in ix for j in ix if rel[i][j] for k in ix if rel[j][k])
+        assert p == 5 or relations["weyl"] != relations["strict"], p
     data = [gen.random_mixed_datum(rng.choice([5, 7]), rng, 3) for _ in range(200)]
     for d in data:
         assert datum_equivalent(d, d)

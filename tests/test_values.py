@@ -67,7 +67,7 @@ FIELDS = {
     ValidationReport: ("violations",),
     FiniteTorusDatum: ("q", "entries", "exponents"),
     BlockDecomposition: ("levels",),
-    ThetaResult: ("lifted", "target_invariants", "predicted_invariants", "so", "choices"),
+    ThetaResult: ("lifted", "target_invariants", "so", "choices"),
     DistinctionWitness: ("base_f_field", "datum_over_e"),
     DistinctionVerdict: ("distinguished", "restriction_exponents", "details"),
     TransportResult: (
@@ -145,7 +145,7 @@ REPRS = {
     TorusDatum: _DATUM,
     ThetaResult: "ThetaResult(lifted=TorusDatum(base=Tame(p=5,f0=1,f=1,e=1), factors=(Factor(m=1, "
     "step='unramified', c=LT(val=1,res=[2, 0],fixed), chi0=5, gamma_levels=()),), "
-    f"polarity='orthogonal'), target_invariants={_INV}, predicted_invariants={_INV}, so={_SO}, "
+    f"polarity='orthogonal'), target_invariants={_INV}, so={_SO}, "
     "choices={'uniformizer': {'val': 1, 'residue': [1]}, 'tau': {'0': {'val': 0, 'residue': [0, 2]}}})",
     ValidationReport: "ValidationReport(violations=['a violation'])",
     FiniteTorusDatum: "FiniteTorusDatum(q=5, entries=(1,), exponents=(2,))",
