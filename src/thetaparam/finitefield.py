@@ -38,18 +38,7 @@ class FieldTooLarge(DomainError):
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n > 1 and _prime_factors(n) == [n]
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +268,9 @@ class FqElement(Value):
         inv = pow(r1[0], -1, p)
         return k.element([c * inv for c in s1])
 
-    def frobenius(self, j: int = 1):
-        """x -> x^{p^j}."""
-        return self ** (self.field.p ** (j % self.field.f) if self.field.f > 1 else 1)
+    def frobenius(self):
+        """x -> x^p."""
+        return self ** self.field.p
 
     def _check(self, other):
         if self.field != other.field:
@@ -411,39 +400,26 @@ class FqEmbedding(Value):
 
     @cached_property
     def _solver(self):
-        """The row reduction that solves sum_j sol[j] * x^j = y, built once:
-        the images of the source power basis are the columns, and the
-        identity block records the row operations to apply to y."""
-        a, b = self.source.f, self.target.f
+        """Solves sum_j w_j x^j = y over F_p for the image x of the generator."""
         cols = []
         power = self.target.one()
-        for _ in range(a):
+        for _ in range(self.source.f):
             cols.append(power.coeffs)
             power = power * self.image_of_generator
-        rows = [[col[i] for col in cols] + [int(i == k) for k in range(b)] for i in range(b)]
-        aug, pivots = _row_reduce(rows, self.source.p, a)
-        return [row[a:] for row in aug], pivots
+        p = self.source.p
+        return span_solver(cols, p, p, "element is not in the embedded subfield")
 
     def pullback(self, y: FqElement) -> FqElement:
         """Inverse on the image; raises if y is not in the embedded subfield."""
         if y.field != self.target:
             raise DomainError("element not in the target field")
-        ops, pivots = self._solver
-        p = self.source.p
-        z = [sum([o * c for o, c in zip(row, y.coeffs)]) % p for row in ops]
-        if any(z[len(pivots):]):
-            raise DomainError("element is not in the embedded subfield")
-        sol = [0] * self.source.f
-        for col, r in pivots.items():
-            sol[col] = z[r]
-        return self.source.element(sol)
+        return self.source.element(self._solver(y.coeffs))
 
 
-def _row_reduce(rows, p, ncols, n=None):
-    """Reduced row echelon form over Z/n for n a power of p (p by default),
-    pivoting on units in the first ncols columns; returns the reduced rows
-    and {pivot column: row index}."""
-    n = n or p
+def _row_reduce(rows, p, ncols, n):
+    """Reduced row echelon form over Z/n for n a power of p, pivoting on
+    units in the first ncols columns; returns the reduced rows and
+    {pivot column: row index}."""
     aug = [[v % n for v in row] for row in rows]
     pivots = {}
     for col in range(ncols):
@@ -460,6 +436,23 @@ def _row_reduce(rows, p, ncols, n=None):
                 aug[r] = [(v - factor * w) % n for v, w in zip(aug[r], aug[top])]
         pivots[col] = top
     return aug, pivots
+
+
+def span_solver(cols, p: int, n: int, message: str):
+    """The solver of u = sum_j w_j cols[j] over Z/n, n a power of p, for columns
+    independent mod p: reducing [cols | identity] records the row operations
+    once; each call applies them to u and returns w, or raises DomainError(message)."""
+    k, d = len(cols), len(cols[0])
+    rows = [[col[i] for col in cols] + [int(i == r) for r in range(d)] for i in range(d)]
+    ops = [row[k:] for row in _row_reduce(rows, p, k, n)[0]]
+
+    def solve(u) -> tuple:
+        z = [sum([o * c for o, c in zip(row, u)]) % n for row in ops]
+        if any(z[k:]):
+            raise DomainError(message)
+        return tuple(z[:k])
+
+    return solve
 
 
 @lru_cache(maxsize=None)
@@ -484,7 +477,7 @@ def fq_embedding(source: FqDescriptor, target: FqDescriptor) -> FqEmbedding:
         shifted[k] = (shifted[k] - 1) % p
         cols.append(shifted)
         power = power * xp
-    aug, pivots = _row_reduce([[cols[j][i] for j in range(b)] for i in range(b)], p, b)
+    aug, pivots = _row_reduce([[cols[j][i] for j in range(b)] for i in range(b)], p, b, p)
     kernel = []
     for free in (c for c in range(b) if c not in pivots):
         vec = [0] * b

@@ -342,6 +342,7 @@ def theta_multiplicity(rep: RepMatrixSet, pi: ClassFunction, rho: ClassFunction)
 # Weyl-group form validation by brute-force normalizers.  The closure is a
 # level-at-a-time BFS on codes, and g normalizes T = <t_1> iff g t_1 = t_j g,
 # j being its multiplier.
+CLOSURE_LIMIT = 10**7  # the largest group _mulclose builds
 
 
 def _sorted_member(codes, sorted_codes):
@@ -350,7 +351,7 @@ def _sorted_member(codes, sorted_codes):
     return sorted_codes[pos] == codes
 
 
-def _mulclose(gens, q, limit=10**7):
+def _mulclose(gens, q):
     """The group generated by gens, as an int8 array of its elements in
     breadth-first order, identity first; each level in code order."""
     gens = np.asarray(gens, dtype=np.int16)
@@ -370,7 +371,7 @@ def _mulclose(gens, q, limit=10**7):
         frontier = np.concatenate(prods)[first]
         levels.append(frontier)
         seen = np.sort(np.concatenate([seen, codes[first]]))
-        if len(seen) > limit:
+        if len(seen) > CLOSURE_LIMIT:
             raise VerificationFailure("closure exceeded the size limit")
     return np.concatenate(levels)
 

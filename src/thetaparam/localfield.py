@@ -30,12 +30,12 @@ from .finitefield import (
     FqElement,
     _mulmod,
     _powmod,
-    _row_reduce,
     fq_canonical_nonsquare,
     fq_embedding,
     fq_is_square,
     fq_make,
     fq_sqrt,
+    span_solver,
 )
 from .value import Value, set_field
 
@@ -335,10 +335,6 @@ class TruncatedRing:
         pN = self.pN
         return tuple([(x - y) % pN for x, y in zip(a, b)])
 
-    def uneg(self, a):
-        pN = self.pN
-        return tuple([(-x) % pN for x in a])
-
     def uscale(self, a, c):
         pN = self.pN
         return tuple([(x * c) % pN for x in a])
@@ -448,17 +444,8 @@ def base_coordinates(field: TameFieldDescriptor, prec: int):
     start = fq_embedding(k_f, field.residue_field()).image_of_generator
     theta = ring.hensel_root(k_f.modulus, start.coeffs)
     powers = [_powmod(theta, l, ring.modulus, pN) for l in range(f0)]
-    # theta's powers are independent mod p: each column has a unit pivot
-    rows = [[u[i] for u in powers] + [int(i == k) for k in range(ring.d)] for i in range(ring.d)]
-    ops = [row[f0:] for row in _row_reduce(rows, ring.p, f0, pN)[0]]
-
-    def pullback(u) -> tuple:
-        z = [sum([o * c for o, c in zip(row, u)]) % pN for row in ops]
-        if any(z[f0:]):
-            raise DomainError("element does not lie in the base field")
-        return tuple(z[:f0])
-
-    return theta, pullback
+    # theta's powers are independent mod p
+    return theta, span_solver(powers, ring.p, pN, "element does not lie in the base field")
 
 
 def _valp_int(c: int, p: int, cap: int) -> int:
@@ -565,7 +552,7 @@ def _product(x: TruncatedElement, y: TruncatedElement) -> TruncatedElement:
 
 def _t_negated(x: TruncatedElement) -> TruncatedElement:
     """The image of x under t -> -t."""
-    parts = tuple([x.ring.uneg(u) if k % 2 else u for k, u in enumerate(x.parts)])
+    parts = tuple([x.ring.uscale(u, -1) if k % 2 else u for k, u in enumerate(x.parts)])
     return TruncatedElement(x.field, x.ring, parts, x.shift)
 
 

@@ -257,11 +257,10 @@ def canonical_sigma_uniformizer(base_f_field: TameFieldDescriptor) -> LeadingTer
     return LeadingTerm(iota.field, 1, iota.residue, iota.sym, iota.sigma_sym)
 
 
-def _sigma_power(factor_field_desc: TameFieldDescriptor, base_f_field: TameFieldDescriptor) -> int:
-    """sigma acts on the residue field of an E-factor as x -> x^{q^m},
-    q the residue size of F."""
-    m = factor_field_desc.m
-    return base_f_field.q_base**m
+def _sigma_ok(lt: LeadingTerm, base_f_field: TameFieldDescriptor, sym: str) -> bool:
+    """Whether lt is declared sigma-sym and its residue agrees; sigma acts on
+    the residue field of an E-factor as x -> x^{q^m}, q the residue size of F."""
+    return lt.sigma_sym == sym and residue_sym_ok(lt.residue, base_f_field.q_base**lt.field.m, sym)
 
 
 class DistinctionWitness(Value):
@@ -300,11 +299,10 @@ def witness_violations(w: DistinctionWitness) -> list:
             v.append(f"{tag}: an unramified step forces E inside K, so K tensor E "
                      "is not a field")
             continue
-        power = _sigma_power(f.c.field, w.base_f_field)
-        if f.c.sigma_sym != SYM_FIXED or not residue_sym_ok(f.c.residue, power, SYM_FIXED):
+        if not _sigma_ok(f.c, w.base_f_field, SYM_FIXED):
             v.append(f"{tag}: c is not declared and consistent sigma-fixed")
         for r, g in f.gamma_levels:
-            if g.sigma_sym != SYM_ANTI or not residue_sym_ok(g.residue, power, SYM_ANTI):
+            if not _sigma_ok(g, w.base_f_field, SYM_ANTI):
                 v.append(f"{tag}: gamma at depth {r} is not sigma-anti")
     return v
 
@@ -403,15 +401,14 @@ def distinction_transport(w: DistinctionWitness) -> TransportResult:
 
     twisted_factors = []
     for i, f in enumerate(lifted.lifted.factors):
-        power = _sigma_power(f.c.field, w.base_f_field)
-        if f.c.sigma_sym != SYM_ANTI or not residue_sym_ok(f.c.residue, power, SYM_ANTI):
+        if not _sigma_ok(f.c, w.base_f_field, SYM_ANTI):
             raise SymmetryAssertionFailed(f"factor {i}: sigma(c_theta) != -c_theta")
         k_l = f.c.field.residue_field()
         iota_l = LeadingTerm(
             f.c.field, 0, fq_embedding(k_e, k_l).apply(iota.residue), SYM_FIXED, SYM_ANTI
         )
         tf = _iota_twist_factor(f, iota_l)
-        if tf.c.sigma_sym != SYM_FIXED or not residue_sym_ok(tf.c.residue, power, SYM_FIXED):
+        if not _sigma_ok(tf.c, w.base_f_field, SYM_FIXED):
             raise SymmetryAssertionFailed(f"factor {i}: iota * c_theta is not sigma-fixed")
         twisted_factors.append(tf)
     twisted = TorusDatum(datum_e.base, tuple(twisted_factors), POLARITY_ORTHOGONAL)

@@ -347,6 +347,13 @@ def _factor_pair_equivalent(fa: Factor, fb: Factor, q: int, mode: str) -> bool:
     )
 
 
+def _bucket(f: Factor, q: int) -> tuple:
+    """Tower, gamma depths and chi0's orbit under q: related factors share it."""
+    mod = f.chi0_modulus(q)
+    orbit_min = min((f.chi0 * pow(q, j, mod) % mod for j, _ in _tower_isos(f)), default=0)
+    return f.m, f.step, tuple(r for r, _ in f.gamma_levels), orbit_min
+
+
 def datum_equivalent(a: TorusDatum, b: TorusDatum, mode: str = "weyl") -> bool:
     """Equivalence of data: a factor bijection respecting towers such that
     some tower isomorphism carries c into the norm class of its partner and
@@ -355,7 +362,8 @@ def datum_equivalent(a: TorusDatum, b: TorusDatum, mode: str = "weyl") -> bool:
     form a group acting on c's norm class and on the character data, so the
     factor pair relation is an orbit relation in both modes (weyl lets one
     element move c and another the character), and a bijection exists
-    exactly when each class has as many factors in a as in b.
+    exactly when each class has as many factors in a as in b.  Classes are
+    kept per _bucket, which related factors share.
     """
     if mode not in ("weyl", "strict"):
         raise DomainError(f"unknown equivalence mode {mode!r}")
@@ -363,13 +371,14 @@ def datum_equivalent(a: TorusDatum, b: TorusDatum, mode: str = "weyl") -> bool:
         raise PolarityMismatch(f"{a.polarity} vs {b.polarity}")
     if a.base != b.base or len(a.factors) != len(b.factors):
         return False
-    classes = []  # [representative, count of a minus count of b]
+    buckets = {}  # bucket -> [[representative, count of a minus count of b]]
     for side, sign in ((a, 1), (b, -1)):
         for f, count in Counter(side.factors).items():
+            classes = buckets.setdefault(_bucket(f, a.base.q_base), [])
             for cls in classes:
                 if _factor_pair_equivalent(cls[0], f, a.base.q_base, mode):
                     cls[1] += sign * count
                     break
             else:
                 classes.append([f, sign * count])
-    return all(count == 0 for _, count in classes)
+    return all(count == 0 for classes in buckets.values() for _, count in classes)

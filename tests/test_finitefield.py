@@ -180,6 +180,14 @@ def test_mulmod_matches_schoolbook_product_and_reduction():
                     assert _powmod(a, e, modulus, n) == power
 
 
+def test_is_prime_equals_a_sieve_below_10000():
+    sieve = [False, False] + [True] * 9998
+    for n in range(2, 100):
+        if sieve[n]:
+            sieve[n * n :: n] = [False] * len(sieve[n * n :: n])
+    assert [is_prime(n) for n in range(-3, 10_000)] == [False] * 3 + sieve
+
+
 def _fields_up_to_729():
     """Every F_{p^f}, p odd, with p^f <= 729."""
     for p in range(3, 730):

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from thetaparam import finitetheta
 from thetaparam.finitefield import fq_make, fq_multiplicative_generator
 from thetaparam.finitetheta import (
     ClassFunction,
@@ -546,7 +547,8 @@ def test_sp4_closure_preserves_gram():
     assert np.array_equal(np.swapaxes(group, 1, 2) @ j @ group % q, np.broadcast_to(j, group.shape))
 
 
-def test_mulclose_limit():
+def test_mulclose_limit(monkeypatch):
     _, gram = _torus_matrices_in_sp4(3)
+    monkeypatch.setattr(finitetheta, "CLOSURE_LIMIT", 1000)
     with pytest.raises(VerificationFailure):
-        _mulclose(_sp4_transvections(3, gram), 3, limit=1000)
+        _mulclose(_sp4_transvections(3, gram), 3)

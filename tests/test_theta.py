@@ -12,6 +12,7 @@ from thetaparam.localfield import (
     STEP_UNRAMIFIED,
     SYM_ANTI,
     SYM_FIXED,
+    SYM_NONE,
     LeadingTerm,
     base_field,
     canonical_tau,
@@ -370,6 +371,23 @@ def test_invalid_witness_unramified_or_even_m():
         TorusDatum(e_base, (Factor(2, STEP_RAMIFIED, c2, 0, (g2,)),), POLARITY_SYMPLECTIC),
     )
     assert any("even degree" in v for v in witness_violations(bad2))
+
+
+@pytest.mark.parametrize("sigma_sym", [SYM_ANTI, SYM_NONE])
+def test_witness_gamma_must_be_declared_and_consistent_sigma_anti(sigma_sym):
+    """A gamma declared anti with a sigma-fixed residue, and a gamma with no
+    sigma declaration, get the same violation."""
+    w = make_witness()
+    f = w.datum_over_e.factors[0]
+    (r, g), = f.gamma_levels
+    residue = g.residue
+    if sigma_sym == SYM_ANTI:
+        residue = gen.sigma_fixed_residue(g.field, w.base_f_field, random.Random(3))
+    bad_g = LeadingTerm(g.field, g.val, residue, g.sym, sigma_sym)
+    bad_f = Factor(f.m, f.step, f.c, f.chi0, ((r, bad_g),))
+    bad = DistinctionWitness(w.base_f_field, w.datum_over_e.replace_factors([bad_f]))
+    assert witness_violations(w) == []
+    assert witness_violations(bad) == ["factor 0: gamma at depth 1/2 is not sigma-anti"]
 
 
 def test_sigma_flag_algebra_of_depth_zero_transport_formula():

@@ -181,7 +181,7 @@ def test_equivalence_compares_repeated_factors_once(pair_calls):
     other = simple_datum(chi0=2).factors[0]
     mixed = d.replace_factors((other,) + d.factors * 299)
     assert not datum_equivalent(many, mixed, mode="strict")
-    assert len(pair_calls) == 2
+    assert len(pair_calls) == 1  # the chi0 = 2 factor has a bucket of its own
 
 
 def test_equivalence_compares_distinct_equivalent_factors_with_one_representative(pair_calls):
@@ -193,6 +193,36 @@ def test_equivalence_compares_distinct_equivalent_factors_with_one_representativ
     assert len(set(factors)) == 200
     assert datum_equivalent(a, a.replace_factors(reversed(factors)))
     assert len(pair_calls) <= 400
+
+
+def test_equivalence_compares_only_factors_of_one_bucket(pair_calls):
+    """1,000 ramified factors of distinct gamma depths r = 1/2, 3/2, ... lie
+    in 1,000 buckets: against their reverse, each factor of b meets only its
+    partner of a, not every class before it (about 1,000,000 calls)."""
+    lr = factor_field(BASE5, 1, STEP_RAMIFIED)
+    one = lr.residue_field().one()
+    factors = [
+        Factor(1, STEP_RAMIFIED, LeadingTerm(lr, 1, one, SYM_ANTI), 1,
+               ((Fraction(2 * i + 1, 2), LeadingTerm(lr, -(2 * i + 1), one, SYM_ANTI)),))
+        for i in range(1000)
+    ]
+    a = TorusDatum(BASE5, tuple(factors), POLARITY_SYMPLECTIC)
+    assert datum_equivalent(a, a.replace_factors(reversed(factors)))
+    assert len(pair_calls) <= 1000
+
+
+def test_related_factors_share_a_bucket():
+    """The premise of bucketing: every related pair of the twist pools has
+    equal buckets, in both modes."""
+    rng = random.Random(2)
+    for p in (3, 5, 7):
+        pool = twist_pool(p, rng, 4)
+        for mode in ("weyl", "strict"):
+            related = [
+                (x, y) for x in pool for y in pool if torusdata._factor_pair_equivalent(x, y, p, mode)
+            ]
+            assert len(related) > len(pool), (p, mode)
+            assert all(torusdata._bucket(x, p) == torusdata._bucket(y, p) for x, y in related)
 
 
 @pytest.mark.parametrize("mode", ["weyl", "strict"])
