@@ -16,9 +16,10 @@ are integer coefficient arrays reduced mod the cyclotomic polynomial, every
 check is `==`, and a multiplicity is an integer or a NonIntegralMultiplicity.
 Every group element is a small-int numpy matrix keyed by the int64 code of
 its entries; SL2(q) and O(V) are MatrixGroups, their elements in code order
-with a table of products.  The rank-two Weyl-form check closes Sp4(q)
-breadth-first on codes and finds torus normalizers by the inverse-free test
-g t = t' g.
+with a table of products.  The rank-two Weyl-form check carries each
+matrix as its column codes, on which a matrix acts by a lookup table: it
+closes Sp4(q) breadth-first and finds torus normalizers by the
+inverse-free test g t = t' g through such tables.
 """
 
 from __future__ import annotations
@@ -46,15 +47,47 @@ class NormalizationFailure(DomainError):
 
 
 def _codes(mats, q):
-    """The code sum_k entry_k q^(K-1-k) of each matrix, its K entries read
-    row by row with the first most significant: code order is the
-    lexicographic order of the entries.  Exact for 4 x 4 matrices at
+    """The code sum_k entry_k q^(K-1-k) of each vector or matrix, its K
+    entries read row by row with the first most significant: code order is
+    the lexicographic order of the entries.  Exact for 4 x 4 matrices at
     q <= 5, as q^16 < 2^63."""
     flat = np.asarray(mats).reshape(len(mats), -1)
     codes = np.zeros(len(flat), dtype=np.int64)
     for col in flat.T:
         codes = codes * q + col
     return codes
+
+
+def _vectors(q: int, k: int) -> np.ndarray:
+    """The q^k vectors of F_q^k, in code order."""
+    return np.indices((q,) * k).reshape(k, -1).T
+
+
+def _column_codes(mats, q):
+    """The column-code form of each matrix mats[i], entries in [0, q): its
+    column codes, in the smallest dtype for q^k codes, on which g acts by
+    its table of _actions; _from_columns gives the matrix's code back."""
+    mats = np.asarray(mats)
+    k = mats.shape[-2]
+    codes = _codes(np.swapaxes(mats, -1, -2).reshape(-1, k), q)
+    return codes.reshape(len(mats), -1).astype(np.min_scalar_type(q**k - 1))
+
+
+def _actions(mats, q):
+    """act[i, c], the code of mats[i] v mod q for the vector v of code c."""
+    return _column_codes(np.asarray(mats, dtype=np.int64) @ _vectors(q, np.shape(mats)[-1]).T % q, q)
+
+
+def _places(q: int, k: int) -> np.ndarray:
+    """place[j, c], the code of the matrix with column j the vector of code
+    c and zeros elsewhere."""
+    units = _vectors(q, k)[None, :, :, None] * np.eye(k, dtype=np.int64)[:, None, None]
+    return _codes(units.reshape(-1, k, k), q).reshape(k, -1)
+
+
+def _from_columns(cols, place):
+    """The codes of the matrices whose column codes are the rows of cols."""
+    return sum(place[j][cols[:, j]] for j in range(len(place)))
 
 
 class MatrixGroup:
@@ -353,40 +386,39 @@ def _sorted_member(codes, sorted_codes):
 
 def _mulclose(gens, q):
     """The group generated by gens, as an int8 array of its elements in
-    breadth-first order, identity first; each level in code order."""
-    gens = np.asarray(gens, dtype=np.int16)
-    frontier = np.eye(gens.shape[-1], dtype=np.int8)[None]
-    levels, seen = [frontier], _codes(frontier, q)  # seen stays sorted
+    breadth-first order, identity first; each level in code order.  The
+    elements are carried in column-code form, where g M is act_g[cols]."""
+    k = np.shape(gens)[-1]
+    acts, place = _actions(gens, q), _places(q, k)
+    frontier = _column_codes(np.eye(k, dtype=np.int8)[None], q)
+    levels, seen = [frontier], _from_columns(frontier, place)  # seen stays sorted
     while len(frontier):
-        prods, prod_codes = [], []
-        for g in gens:
-            prod = (g @ frontier % q).astype(np.int8)
-            codes = _codes(prod, q)
-            new = ~_sorted_member(codes, seen)
-            prods.append(prod[new])
-            prod_codes.append(codes[new])
-        codes = np.concatenate(prod_codes)
-        order = np.argsort(codes, kind="stable")
-        first = order[np.diff(codes[order], prepend=-1) != 0]  # the first of each code, in code order
-        frontier = np.concatenate(prods)[first]
+        prods = acts[:, frontier].reshape(-1, k)  # g @ frontier for each generator g in turn
+        codes = _from_columns(prods, place)
+        order = np.argsort(codes)
+        first = order[np.diff(codes[order], prepend=-1) != 0]  # one of each code, in code order
+        first = first[~_sorted_member(codes[first], seen)]
+        frontier = prods[first]
         levels.append(frontier)
         seen = np.sort(np.concatenate([seen, codes[first]]))
         if len(seen) > CLOSURE_LIMIT:
             raise VerificationFailure("closure exceeded the size limit")
-    return np.concatenate(levels)
+    return np.ascontiguousarray(_vectors(q, k).astype(np.int8)[np.concatenate(levels)].swapaxes(1, 2))
 
 
 def normalizer_exponent_actions(group, torus_elements, q) -> Counter:
     """The exponent maps j -> a*j induced on the cyclic torus, listed as the
     powers of torus_elements[1], by its normalizer in group: each multiplier
     a mod the torus order with the number of normalizer elements inducing
-    it, so the counts sum to the normalizer order."""
-    group = np.asarray(group, dtype=np.int16)
-    torus = np.asarray(torus_elements, dtype=np.int16)
-    lhs = _codes(group @ torus[1] % q, q)
+    it, so the counts sum to the normalizer order.  Entries lie in [0, q).
+    The rows of g t_1 are t_1^T acting on the rows of g, the columns of
+    t_a g are t_a acting on those of g."""
+    k = np.shape(group)[-1]
+    rows, cols, place = _column_codes(np.swapaxes(group, 1, 2), q), _column_codes(group, q), _places(q, k)
+    lhs = _codes(_actions(np.swapaxes(torus_elements, 1, 2), q)[1][rows], q**k)  # g t_1, from its row codes
     mult = np.full(len(group), -1)
-    for a, t in enumerate(torus):
-        mult[_codes(t @ group % q, q) == lhs] = a
+    for a, act in enumerate(_actions(torus_elements, q)):
+        mult[_from_columns(cols, place[:, act]) == lhs] = a  # place[:, act] reads t_a g off the columns of g
     return Counter(mult[mult >= 0].tolist())
 
 

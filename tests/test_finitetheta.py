@@ -1,4 +1,6 @@
+import hashlib
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,13 +11,19 @@ from thetaparam.finitetheta import (
     ClassFunction,
     NonIntegralMultiplicity,
     VerificationFailure,
+    _actions,
+    _codes,
+    _column_codes,
     _conj,
     _dot,
+    _from_columns,
     _mulclose,
     _order,
+    _places,
     _reduction,
     _sp4_transvections,
     _torus_matrices_in_sp4,
+    _vectors,
     build_weil_rep,
     dl_regular_character,
     dual_pair,
@@ -481,9 +489,10 @@ def test_weyl_form_rank2_sp4():
     """Brute-force normalizer in Sp4(3): |W| = 4 with exponent actions the
     powers of q mod q^2 + 1.  Sp4(5) is left out for memory: its 9.36 * 10^6
     elements take 150 MB as int8 matrices and 75 MB per array of int64
-    codes, and the normalizer pass holds them again as int16 (300 MB) next
-    to each product t_j g and its reduction mod q (600 MB), an estimated
-    1.2 GB at peak.  The q = 5 form is covered at rank one."""
+    codes, and the closure's widest level, with six products per element
+    and an int64 code and sort index per product, and the normalizer's
+    int64 column codes (300 MB) put the estimated peak above 0.5 GB.  The
+    q = 5 form is covered at rank one."""
     out = validate_weyl_form_rank2(3)
     assert out["ok"]
     assert out["group_order"] == 51840
@@ -512,16 +521,12 @@ def test_mulclose_sl2_matches_enumeration(q):
                             if (a * d - b * c) % q == 1}
 
 
-def _conjugation_oracle(group, torus, q):
-    index = {t: j for j, t in enumerate(_keys_list(torus))}
-    actions = {}
-    for g in np.asarray(group, dtype=np.int64):
-        (a, b), (c, d) = g.tolist()
-        g_inv = np.array([[d, -b], [-c, a]]) * pow(a * d - b * c, -1, q)  # the adjugate over det
-        img = tuple(map(tuple, (g @ torus[1] @ g_inv % q).tolist()))
-        if img in index:
-            actions[index[img]] = actions.get(index[img], 0) + 1
-    return actions
+def _conjugation_oracle(group, inverses, torus, q):
+    """The multipliers a with g t_1 g^-1 = t_a, each with the number of
+    elements g of group inducing it, from the given inverses g^-1."""
+    index = {t: a for a, t in enumerate(_keys_list(torus))}
+    images = np.asarray(group, dtype=np.int64) @ torus[1] @ inverses % q
+    return Counter(index[img] for img in _keys_list(images) if img in index)
 
 
 @pytest.mark.parametrize("q", [3, 5])
@@ -531,7 +536,10 @@ def test_normalizer_matches_conjugation_oracle(q, group_name):
     pair = dual_pair(q, variant)
     group = (pair.sl2 if group_name == "sl2" else pair.o2).elements
     torus = pair.o2.elements[pair.rotations].astype(np.int64)
-    expected = _conjugation_oracle(group, torus, q)
+    (a, b), (c, d) = np.moveaxis(group.astype(np.int64), 0, -1)
+    dets = np.array([pow(int(x), -1, q) for x in (a * d - b * c) % q])
+    adjugates = np.moveaxis(np.array([[d, -b], [-c, a]]), -1, 0)
+    expected = _conjugation_oracle(group, adjugates * dets[:, None, None], torus, q)  # the adjugate over det
     actions = normalizer_exponent_actions(group, torus, q)
     assert dict(actions) == expected
     assert all(type(a) is int and type(c) is int for a, c in actions.items())
@@ -552,3 +560,56 @@ def test_mulclose_limit(monkeypatch):
     monkeypatch.setattr(finitetheta, "CLOSURE_LIMIT", 1000)
     with pytest.raises(VerificationFailure):
         _mulclose(_sp4_transvections(3, gram), 3)
+
+
+def test_sp4_normalizer_matches_conjugation_oracle():
+    """g t_1 g^-1 with g^-1 = J^-1 g^T J, which holds on the closure as
+    test_sp4_closure_preserves_gram checks."""
+    q = 3
+    torus, gram = _torus_matrices_in_sp4(q)
+    group = _mulclose(_sp4_transvections(q, gram), q)
+    j = np.array(gram, dtype=np.int64) % q
+    det = round(np.linalg.det(j))
+    j_inv = np.rint(np.linalg.inv(j) * det).astype(np.int64) * pow(det, -1, q) % q
+    assert np.array_equal(j @ j_inv % q, np.eye(4, dtype=np.int64))
+    inverses = j_inv @ np.swapaxes(group, 1, 2).astype(np.int64) @ j % q
+    expected = _conjugation_oracle(group, inverses, torus.astype(np.int64), q)
+    assert expected == {1: 10, 3: 10, 7: 10, 9: 10}
+    assert normalizer_exponent_actions(group, torus, q) == expected
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("q", [3, 5])
+def test_column_codes_give_the_matrix_codes_and_actions(q, k):
+    """One code rule: the code of a matrix from its column codes is _codes,
+    and the table of g sends the code of each vector v to that of g v."""
+    rng = np.random.default_rng(100 * q + k)
+    mats = rng.integers(0, q, size=(200, k, k)).astype(np.int8)
+    vecs = _vectors(q, k)
+    assert np.array_equal(_codes(vecs, q), np.arange(q**k))
+    assert np.array_equal(_from_columns(_column_codes(mats, q), _places(q, k)), _codes(mats, q))
+    for g, act in zip(mats, _actions(mats, q)):
+        assert np.array_equal(vecs[act], vecs @ g.T.astype(np.int64) % q)
+
+
+# sha256 of the int8 bytes of each closure
+CLOSURE_DIGESTS = {
+    "sp4_3": "09259a3db6066d93c2df1c1708f92b78be225d75d72320be73b07e1897ea1e52",
+    "sl2_3": "dd37c99f37f7d0f8e1f5e8b4f86c0d315ef3ccf704318f246d4dfbea9814b298",
+    "sl2_5": "65f42bb0de970bfc2260b3c6a4ec18a75b83bd76a7e89a34cad5e63135883de6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_DIGESTS))
+def test_mulclose_layout_is_pinned(name):
+    """The breadth-first, code-ordered layout, byte for byte, identity first."""
+    group, q = name.split("_")
+    q = int(q)
+    if group == "sp4":
+        gens = _sp4_transvections(q, _torus_matrices_in_sp4(q)[1])
+    else:
+        gens = [((0, 1), (q - 1, 0)), ((1, 1), (0, 1))]
+    elements = _mulclose(gens, q)
+    assert elements.dtype == np.int8
+    assert np.array_equal(elements[0], np.eye(elements.shape[-1]))
+    assert hashlib.sha256(elements.tobytes()).hexdigest() == CLOSURE_DIGESTS[name]
