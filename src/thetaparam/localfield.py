@@ -23,6 +23,7 @@ against the exact leading-term routes.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 from .errors import DomainError
 from .finitefield import (
@@ -448,12 +449,14 @@ def base_coordinates(field: TameFieldDescriptor, prec: int):
     return theta, span_solver(powers, ring.p, pN, "element does not lie in the base field")
 
 
-def _valp_int(c: int, p: int, cap: int) -> int:
-    if c == 0:
-        return cap
+def valp_coeffs(coeffs, p: int, pN: int) -> int:
+    """v_p(gcd(p^N, *coeffs)) for pN = p^N: the least p-adic valuation of
+    the coefficients, capped at N, which all-zero coefficients mod p^N
+    reach."""
+    g = gcd(pN, *coeffs)
     v = 0
-    while c % p == 0:
-        c //= p
+    while g > 1:  # g is a power of p
+        g //= p
         v += 1
     return v
 
@@ -487,8 +490,8 @@ class TruncatedElement(Value):
         that == and hash read."""
         if "_val" in self.__dict__:
             return self.__dict__["_val"]
-        p, cap = self.ring.p, self.ring.prec
-        valps = [min([_valp_int(c, p, cap) for c in u]) for u in self.parts]
+        p, pN, cap = self.ring.p, self.ring.pN, self.ring.prec
+        valps = [valp_coeffs(u, p, pN) for u in self.parts]
         vk = min(valps)  # the least candidate: least v_p first, then least k
         v = self.ring.e * (vk - self.shift) + valps.index(vk) if vk < cap else None
         self.__dict__["_val"] = v
@@ -527,12 +530,22 @@ def _reshift(x: TruncatedElement, s: int) -> TruncatedElement:
     return TruncatedElement(x.field, x.ring, tuple([x.ring.uscale(u, mult) for u in x.parts]), s)
 
 
+def least_shift(parts, shift: int, ring: TruncatedRing):
+    """(parts, shift) with the least shift: p^k divided out of every
+    coefficient, for the largest k <= shift that divides them all (k =
+    shift when all are 0 mod p^N)."""
+    if not shift:
+        return parts, 0
+    v = min([valp_coeffs(u, ring.p, ring.pN) for u in parts])
+    k = shift if v == ring.prec else min(v, shift)
+    if not k:
+        return parts, shift
+    pk = ring.p**k
+    return tuple([tuple([c // pk for c in u]) for u in parts]), shift - k
+
+
 def _normalized(x: TruncatedElement) -> TruncatedElement:
-    p = x.ring.p
-    parts, s = x.parts, x.shift
-    while s > 0 and all(c % p == 0 for u in parts for c in u):
-        parts = tuple([tuple(c // p for c in u) for u in parts])
-        s -= 1
+    parts, s = least_shift(x.parts, x.shift, x.ring)
     return x if s == x.shift else TruncatedElement(x.field, x.ring, parts, s)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import DomainError
-from .finitefield import _powmod, fq_canonical_nonsquare, fq_embedding, fq_is_square
+from .finitefield import _mulmod, _powmod, fq_canonical_nonsquare, fq_embedding, fq_is_square
 from .localfield import (
     SQ_ONE,
     STEP_UNRAMIFIED,
@@ -30,20 +30,18 @@ from .localfield import (
     PrecisionExhausted,
     SquareClass,
     TameFieldDescriptor,
-    _normalized,
     base_coordinates,
     base_field,
     flag_consistent,
+    least_shift,
     minus_one_class,
     ring_for,
     square_class,
-    tr_add,
     tr_conj,
-    tr_inv,
     tr_lift,
     tr_mul,
-    tr_sub,
     TruncatedElement,
+    valp_coeffs,
 )
 from .value import Value, set_field
 
@@ -239,47 +237,97 @@ def _trace_form_tensor(field: TameFieldDescriptor, prec: int):
 
 
 def _gram_matrix(factor, prec: int):
-    """The trace form over F in the tower basis: entries in F's ring, each
-    row of the cached tensor dotted with part 0 of c."""
+    """The trace form over F in the tower basis, as (ring, rows): ring is
+    F's truncated ring at prec, and entry (i, j) the pair (coeffs, shift)
+    meaning coeffs / p^shift, coeffs a tuple of f0 ints mod p^N with the
+    least shift.  coeffs is row (i, j) of the cached tensor dotted with
+    part 0 of c."""
     field = factor.c.field
-    base = base_field(field.base_p, field.base_f)
-    ring = ring_for(base, prec)
+    ring = ring_for(base_field(field.base_p, field.base_f), prec)
     c = tr_lift(factor.c, prec)
     if any(any(u) for u in c.parts[1:]):
         raise DomainError("the Gram route needs c with a zero t-part")
     c0 = c.parts[0]
     n = field.f * field.e
-    gram = [[None] * n for _ in range(n)]
-    for (i, j), rows in _trace_form_tensor(field, prec).items():
-        coords = tuple([sum([u * v for u, v in zip(row, c0)]) % ring.pN for row in rows])
-        gram[i][j] = gram[j][i] = _normalized(TruncatedElement(base, ring, (coords,), c.shift))
-    return gram
+    rows = [[None] * n for _ in range(n)]
+    for (i, j), tensor_rows in _trace_form_tensor(field, prec).items():
+        coords = tuple([sum([u * v for u, v in zip(row, c0)]) % ring.pN for row in tensor_rows])
+        (coeffs,), shift = least_shift((coords,), c.shift, ring)
+        rows[i][j] = rows[j][i] = coeffs, shift
+    return ring, rows
 
 
-def _diagonalize_symmetric(gram):
-    """Symmetric congruence diagonalization pivoting on minimal valuation.
+# Pairs (coeffs, shift) of F's ring (e = 1, d = f0): each step below gives
+# the bytes of its tr_* counterpart on TruncatedElement(F, ring, (coeffs,), shift).
 
+
+def _pair_val(ring, x):
+    """Valuation of the pair x, or None when it is zero to working precision."""
+    v = valp_coeffs(x[0], ring.p, ring.pN)
+    return v - x[1] if v < ring.prec else None
+
+
+def _pair_sum(ring, x, y, sign):
+    """x + sign * y at the larger shift, not normalized, as tr_add (sign 1)
+    and tr_sub (sign -1)."""
+    (a, s), (b, t) = x, y
+    if s < t:
+        a, s = [u * ring.p ** (t - s) for u in a], t
+    elif t < s:
+        b = [u * ring.p ** (s - t) for u in b]
+    pN = ring.pN
+    return tuple([(u + sign * w) % pN for u, w in zip(a, b)]), s
+
+
+def _pair_mul(ring, x, y):
+    """x * y with the least shift, as tr_mul."""
+    (coeffs,), shift = least_shift((_mulmod(x[0], y[0], ring.modulus, ring.pN),), x[1] + y[1], ring)
+    return coeffs, shift
+
+
+def _pair_inv(ring, x):
+    """1 / x for a certified-nonzero x, as tr_inv: the inverse of its unit
+    part (unique mod p^N), times p^-v; zero when -v >= N."""
+    coeffs, shift = x
+    p, pN = ring.p, ring.pN
+    k = valp_coeffs(coeffs, p, pN)
+    pk = p**k
+    unit_inv = ring.uinv(tuple([u // pk for u in coeffs]))
+    v = k - shift
+    if v >= 0:
+        return unit_inv, v
+    scale = p**-v
+    return tuple([u * scale % pN for u in unit_inv]), 0
+
+
+def _diagonalize_symmetric(ring, rows):
+    """Symmetric congruence diagonalization of rows, the pairs of
+    _gram_matrix over ring, pivoting on minimal valuation; returns the
+    diagonal as pairs.
+
+    The valuation of each entry is kept in a matrix beside the entries.
     Step i reads and writes only the trailing block g[i:][i:]: entries
     outside it are never read again.  It subtracts f_k times the pivot row
     from each row k below, then f_k times the pivot column from each column
     k, with f_k = g[k][i] / pivot, but skips the work whose result is known:
     the pivot is inverted only when a certified-nonzero entry lies below it
     (never the last one), row i is not updated (it is never read again),
-    and no product has an exact-zero operand.  tr_sub(x, tr_mul(f, 0))
-    returns x's parts and shift unchanged, since shifts are >= 0, so every
-    diagonal entry has the bytes of the full update.  Raises
-    PrecisionExhausted when no pivot can be certified nonzero, or when a
-    pivot with a nonzero entry below it has an inverse that truncates to
-    zero.
+    and no product has an exact-zero operand.  Subtracting a product with
+    a zero operand would return x's coeffs and shift unchanged, since
+    shifts are >= 0, so every diagonal entry has the bytes of the full
+    update.  Raises PrecisionExhausted when no pivot can be certified
+    nonzero, or when a pivot with a nonzero entry below it has an inverse
+    that truncates to zero.
     """
-    g = [row[:] for row in gram]
+    g = [row[:] for row in rows]
     n = len(g)
+    val = [[_pair_val(ring, x) for x in row] for row in g]
     diag = []
     for i in range(n):
         best = None
         for r in range(i, n):
             for c in range(r, n):
-                v = g[r][c].val_or_none()
+                v = val[r][c]
                 if v is not None and (best is None or v < best[0]):
                     best = (v, r, c)
         if best is None:
@@ -289,39 +337,46 @@ def _diagonalize_symmetric(gram):
             # move the minimal entry onto the diagonal: row r +/- row c and
             # the matching column operation; one choice of sign keeps the
             # valuation since p is odd
-            for op in (tr_add, tr_sub):
+            for sign in (1, -1):
                 cand = [row[:] for row in g]
                 for j in range(i, n):
-                    cand[r][j] = op(cand[r][j], cand[c][j])
+                    cand[r][j] = _pair_sum(ring, cand[r][j], cand[c][j], sign)
                 for j in range(i, n):
-                    cand[j][r] = op(cand[j][r], cand[j][c])
-                if cand[r][r].val_or_none() == best[0]:
+                    cand[j][r] = _pair_sum(ring, cand[j][r], cand[j][c], sign)
+                if _pair_val(ring, cand[r][r]) == best[0]:
                     g = cand
+                    for j in range(i, n):
+                        val[r][j] = _pair_val(ring, g[r][j])
+                        val[j][r] = _pair_val(ring, g[j][r])
                     break
             else:
                 raise PrecisionExhausted("pivot promotion lost the valuation")
         if r != i:
-            g[i], g[r] = g[r], g[i]
-            for row in g:
-                row[i], row[r] = row[r], row[i]
+            for m in (g, val):
+                m[i], m[r] = m[r], m[i]
+                for row in m:
+                    row[i], row[r] = row[r], row[i]
         pivot = g[i][i]
-        below = [k for k in range(i + 1, n) if g[k][i].val_or_none() is not None]
+        below = [k for k in range(i + 1, n) if val[k][i] is not None]
         if below:
-            inv_pivot = tr_inv(pivot)
-            if inv_pivot.val_or_none() is None:
+            inv_pivot = _pair_inv(ring, pivot)
+            if _pair_val(ring, inv_pivot) is None:
                 raise PrecisionExhausted("pivot inverse truncates to zero")
-            factors = [(k, tr_mul(g[k][i], inv_pivot)) for k in below]
-            factors = [(k, f) for k, f in factors if f.val_or_none() is not None]
-            pivot_row = [(j, g[i][j]) for j in range(i, n) if g[i][j].val_or_none() is not None]
+            factors = [(k, _pair_mul(ring, g[k][i], inv_pivot)) for k in below]
+            factors = [(k, f) for k, f in factors if _pair_val(ring, f) is not None]
+            pivot_row = [(j, g[i][j]) for j in range(i, n) if val[i][j] is not None]
             for k, factor in factors:
+                g_k, val_k = g[k], val[k]
                 for j, x in pivot_row:
-                    g[k][j] = tr_sub(g[k][j], tr_mul(factor, x))
+                    y = g_k[j] = _pair_sum(ring, g_k[j], _pair_mul(ring, factor, x), -1)
+                    val_k[j] = _pair_val(ring, y)
             # column i after the row pass: mostly exact zeros; the rest is
             # the error of the truncated factors, which the column pass cancels
-            residue = [(j, g[j][i]) for j in below if g[j][i].val_or_none() is not None]
+            residue = [(j, g[j][i]) for j in below if val[j][i] is not None]
             for k, factor in factors:
                 for j, x in residue:
-                    g[j][k] = tr_sub(g[j][k], tr_mul(factor, x))
+                    y = g[j][k] = _pair_sum(ring, g[j][k], _pair_mul(ring, factor, x), -1)
+                    val[j][k] = _pair_val(ring, y)
         diag.append(pivot)
     return diag
 
@@ -338,8 +393,11 @@ def invariants_via_gram(datum) -> QuadInvariants:
         try:
             classes = []
             for factor in datum.factors:
-                diag = _diagonalize_symmetric(_gram_matrix(factor, prec))
-                classes += (square_class(entry.leading_term()) for entry in diag)
+                ring, rows = _gram_matrix(factor, prec)
+                classes += (
+                    square_class(TruncatedElement(datum.base, ring, (coeffs,), shift).leading_term())
+                    for coeffs, shift in _diagonalize_symmetric(ring, rows)
+                )
             return _finish(*diagonal_invariants(classes, q), q)
         except PrecisionExhausted:
             pass

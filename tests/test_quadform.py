@@ -1,3 +1,5 @@
+import collections
+import hashlib
 import itertools
 import random
 from operator import mul
@@ -235,13 +237,49 @@ def test_diagonal_invariants_hyperbolic():
     assert det == minus_one_class(5)
 
 
-def _full_row_diagonalize(gram, promotions):
-    """The elimination as it was before it kept to the trailing block: every
-    row and column operation runs over all n entries.  Appends one entry to
-    promotions per off-diagonal pivot moved onto the diagonal.  Raises, as
-    the elimination does, when a pivot with a nonzero entry below it has an
-    inverse that truncates to zero."""
-    g = [row[:] for row in gram]
+def test_pair_steps_give_the_bytes_of_the_tr_functions():
+    """Each step of the elimination on pairs (coeffs, shift) equals its
+    tr_* counterpart on TruncatedElements over F of degree 1 and 2, byte
+    for byte: on random pairs with zero and nonzero coefficients and shifts
+    up to 2N + 1, and on a zero product of shift past N, which the least
+    shift sends to shift 0."""
+    rng = random.Random(2829)
+    for f0, p, prec in itertools.product((1, 2), (3, 5, 7), (1, 2, 3, 5)):
+        base = base_field(p, f0)
+        ring = ring_for(base, prec)
+
+        def draw():
+            scale = p ** rng.randrange(prec + 1)
+            return tuple(rng.randrange(ring.pN) * scale % ring.pN for _ in range(f0)), rng.randrange(2 * prec + 2)
+
+        def element(x):
+            return TruncatedElement(base, ring, (x[0],), x[1])
+
+        def pair(x):
+            return x.parts[0], x.shift
+
+        for _ in range(40):
+            x, y = draw(), draw()
+            ex, ey = element(x), element(y)
+            assert quadform._pair_val(ring, x) == ex.val_or_none()
+            assert quadform._pair_sum(ring, x, y, 1) == pair(tr_add(ex, ey))
+            assert quadform._pair_sum(ring, x, y, -1) == pair(tr_sub(ex, ey))
+            assert quadform._pair_mul(ring, x, y) == pair(tr_mul(ex, ey))
+            if ex.val_or_none() is not None:
+                assert quadform._pair_inv(ring, x) == pair(tr_inv(ex))
+        zero = ((0,) * f0, prec + 1)
+        assert quadform._pair_mul(ring, zero, zero) == pair(tr_mul(element(zero), element(zero))) == ((0,) * f0, 0)
+
+
+def _full_row_diagonalize(ring, rows, promotions):
+    """The elimination as it was before it kept to the trailing block and
+    ran on pairs: tr_* arithmetic on TruncatedElements, and every row and
+    column operation over all n entries.  Appends one entry to promotions
+    per off-diagonal pivot moved onto the diagonal.  Raises, as the
+    elimination does, when a pivot with a nonzero entry below it has an
+    inverse that truncates to zero.  Returns the diagonal as pairs."""
+    base = base_field(ring.p, ring.d)
+    g = [[TruncatedElement(base, ring, (coeffs,), shift) for coeffs, shift in row] for row in rows]
     n = len(g)
     diag = []
     for i in range(n):
@@ -288,11 +326,11 @@ def _full_row_diagonalize(gram, promotions):
             for j in range(n):
                 g[j][k] = tr_sub(g[j][k], tr_mul(factor, g[j][i]))
         diag.append(pivot)
-    return diag
+    return [(x.parts[0], x.shift) for x in diag]
 
 
 def test_trailing_block_elimination_matches_full_row_reference():
-    """Every diagonal entry (parts, shift) equals the full-row elimination's,
+    """Every diagonal entry (coeffs, shift) equals the full-row elimination's,
     on the Gram matrices of seeded criterion-7 data at the precisions the
     Gram route tries."""
     rng = random.Random(727)
@@ -302,36 +340,34 @@ def test_trailing_block_elimination_matches_full_row_reference():
         start = 4 + sum(abs(f.c.val) // f.c.field.e + 2 for f in d.factors)
         for factor in d.factors:
             for k in range(5):
-                gram = _gram_matrix(factor, start << k)
+                ring, rows = _gram_matrix(factor, start << k)
                 try:
-                    expected = _full_row_diagonalize(gram, promotions)
+                    expected = _full_row_diagonalize(ring, rows, promotions)
                 except PrecisionExhausted:
                     with pytest.raises(PrecisionExhausted):
-                        _diagonalize_symmetric(gram)
+                        _diagonalize_symmetric(ring, rows)
                     continue
-                got = _diagonalize_symmetric(gram)
-                assert [(e.parts, e.shift) for e in got] == [(e.parts, e.shift) for e in expected]
+                assert _diagonalize_symmetric(ring, rows) == expected
                 compared += 1
                 ramified += factor.step == STEP_RAMIFIED
-                largest = max(largest, len(gram))
+                largest = max(largest, len(rows))
                 break
     assert compared >= 300 and ramified >= 100 and largest == 8
     assert promotions
 
 
-def _matches_full_row(gram, promotions):
-    """Both eliminations of gram raise PrecisionExhausted with the same
-    message, or return diagonal entries with the same (parts, shift).
-    True when they returned."""
+def _matches_full_row(ring, rows, promotions):
+    """Both eliminations of the Gram matrix (ring, rows) raise
+    PrecisionExhausted with the same message, or return diagonal entries
+    with the same (coeffs, shift).  True when they returned."""
     try:
-        expected = _full_row_diagonalize(gram, promotions)
+        expected = _full_row_diagonalize(ring, rows, promotions)
     except PrecisionExhausted as exc:
         with pytest.raises(PrecisionExhausted) as got:
-            _diagonalize_symmetric(gram)
+            _diagonalize_symmetric(ring, rows)
         assert str(got.value) == str(exc)
         return False
-    got = _diagonalize_symmetric(gram)
-    assert [(e.parts, e.shift) for e in got] == [(e.parts, e.shift) for e in expected]
+    assert _diagonalize_symmetric(ring, rows) == expected
     return True
 
 
@@ -347,7 +383,7 @@ def test_trailing_block_elimination_matches_full_row_reference_over_a_base_of_de
         start = 4 + sum(abs(f.c.val) // f.c.field.e + 2 for f in d.factors)
         for factor in d.factors:
             for k in range(5):
-                if _matches_full_row(_gram_matrix(factor, start << k), promotions):
+                if _matches_full_row(*_gram_matrix(factor, start << k), promotions):
                     compared += 1
                     ramified += factor.step == STEP_RAMIFIED
                     break
@@ -364,8 +400,37 @@ def test_elimination_exhausts_like_the_full_row_reference_at_low_precision():
         f0 = 1 + i % 2
         d = gen.random_orthogonal_datum((3, 5, 7)[i % 3], rng, 4 if f0 == 1 else 3, f0)
         for factor in d.factors:
-            outcomes += (_matches_full_row(_gram_matrix(factor, prec), []) for prec in range(1, 5))
+            outcomes += (_matches_full_row(*_gram_matrix(factor, prec), []) for prec in range(1, 5))
     assert outcomes.count(False) >= 150 and outcomes.count(True) >= 400
+
+
+def test_elimination_bytes_are_pinned():
+    """The sha256 of every diagonal (coeffs, shift) or PrecisionExhausted
+    message on the Gram matrices of seeded criterion-7 data over F of
+    degree 1 and 2, at the Gram route's start precision and at precisions
+    1-4.  The digest was taken from the elimination on TruncatedElements,
+    before it ran on pairs."""
+    rng = random.Random(2828)
+    digest, outcomes = hashlib.sha256(), collections.Counter()
+    for i in range(160):
+        f0 = 1 + i % 2
+        d = gen.random_orthogonal_datum((3, 5, 7)[i % 3], rng, 4 if f0 == 1 else 3, f0)
+        start = 4 + sum(abs(f.c.val) // f.c.field.e + 2 for f in d.factors)
+        for factor in d.factors:
+            for prec in (start, 1, 2, 3, 4):
+                try:
+                    line = repr(_diagonalize_symmetric(*_gram_matrix(factor, prec)))
+                    outcomes["returned"] += 1
+                except PrecisionExhausted as exc:
+                    line = str(exc)
+                    outcomes[line] += 1
+                digest.update(line.encode() + b"\n")
+    assert outcomes == {
+        "returned": 975,
+        "no certified pivot in the remaining block": 282,
+        "pivot inverse truncates to zero": 63,
+    }
+    assert digest.hexdigest() == "847245df4567b268ac964db4241d37fd6170c8e949c8a89c25c3e1db48d701ab"
 
 
 def test_low_precision_elimination_raises_or_gives_the_transfer_invariants():
@@ -383,41 +448,43 @@ def test_low_precision_elimination_raises_or_gives_the_transfer_invariants():
         for factor in d.factors:
             expected = invariants_of_orthogonal_datum(d.replace_factors([factor]))
             for prec in range(1, 5):
+                ring, rows = _gram_matrix(factor, prec)
                 try:
-                    diag = _diagonalize_symmetric(_gram_matrix(factor, prec))
+                    diag = _diagonalize_symmetric(ring, rows)
                 except PrecisionExhausted:
                     raised += 1
                     continue
-                classes = [square_class(x.leading_term()) for x in diag]
+                classes = [square_class(TruncatedElement(d.base, ring, (c,), s).leading_term()) for c, s in diag]
                 assert quadform._finish(*diagonal_invariants(classes, q), q) == expected
                 agreed += 1
     assert raised >= 300 and agreed >= 600
 
 
-def _record_calls(monkeypatch, namespace, inverses, products):
-    """Wrap tr_inv and tr_mul where namespace (a module's dict) looks them
-    up: each inversion appends (argument, result) to inverses and each
-    product appends its operands to products."""
-    real_inv, real_mul = tr_inv, tr_mul
+def _record_calls(monkeypatch, namespace, inv_name, mul_name, inverses, products):
+    """Wrap the inverse and product functions named inv_name and mul_name
+    where namespace (a module's dict) looks them up: each inversion appends
+    (argument, result) to inverses and each product appends its two
+    operands to products.  The kernel's functions take F's ring first."""
+    real_inv, real_mul = namespace[inv_name], namespace[mul_name]
 
-    def inv(x):
-        inverses.append((x, real_inv(x)))
+    def inv(*args):
+        inverses.append((args[-1], real_inv(*args)))
         return inverses[-1][1]
 
-    def mul(x, y):
-        products.append((x, y))
-        return real_mul(x, y)
+    def mul(*args):
+        products.append(args[-2:])
+        return real_mul(*args)
 
-    monkeypatch.setitem(namespace, "tr_inv", inv)
-    monkeypatch.setitem(namespace, "tr_mul", mul)
+    monkeypatch.setitem(namespace, inv_name, inv)
+    monkeypatch.setitem(namespace, mul_name, mul)
 
 
 def test_elimination_inverts_only_the_pivots_it_uses_and_never_multiplies_by_zero(monkeypatch):
-    """On seeded criterion-7 data at the Gram route's start precision,
-    tr_inv runs once per pivot with a certified-nonzero entry below it: the
-    pivots whose inverse the full-row reference, which inverts every pivot,
-    goes on to use.  The last pivot is never inverted, and no tr_mul operand
-    is an exact zero."""
+    """On seeded criterion-7 data at the Gram route's start precision, the
+    kernel's inverse runs once per pivot with a certified-nonzero entry
+    below it: the pivots whose inverse the full-row reference, which
+    inverts every pivot by tr_inv, goes on to use.  The last pivot is never
+    inverted, and no operand of the kernel's product is an exact zero."""
     rng = random.Random(729)
     grams = []
     for i in range(120):
@@ -425,17 +492,17 @@ def test_elimination_inverts_only_the_pivots_it_uses_and_never_multiplies_by_zer
         start = 4 + sum(abs(f.c.val) // f.c.field.e + 2 for f in d.factors)
         grams += (_gram_matrix(factor, start) for factor in d.factors)
     inverses, products, ref_inverses, ref_products = [], [], [], []
-    _record_calls(monkeypatch, vars(quadform), inverses, products)
-    _record_calls(monkeypatch, globals(), ref_inverses, ref_products)
+    _record_calls(monkeypatch, vars(quadform), "_pair_inv", "_pair_mul", inverses, products)
+    _record_calls(monkeypatch, globals(), "tr_inv", "tr_mul", ref_inverses, ref_products)
     inverted, pivots = 0, 0
-    for gram in grams:
+    for ring, rows in grams:
         del inverses[:], products[:], ref_inverses[:], ref_products[:]
-        diag = _diagonalize_symmetric(gram)
-        _full_row_diagonalize(gram, [])
+        diag = _diagonalize_symmetric(ring, rows)
+        _full_row_diagonalize(ring, rows, [])
         used = [x for x, y in ref_inverses if any(m is y for _, m in ref_products)]
-        assert [(x.parts, x.shift) for x, _ in inverses] == [(x.parts, x.shift) for x in used]
+        assert [x for x, _ in inverses] == [(x.parts[0], x.shift) for x in used]
         assert all(x is not diag[-1] for x, _ in inverses)
-        assert all(x.val_or_none() is not None for pair in products for x in pair)
+        assert all(any(c % ring.pN for c in x[0]) for pair in products for x in pair)
         inverted += len(inverses)
         pivots += len(diag)
     assert len(grams) >= 150 and 0 < inverted < pivots - len(grams)
@@ -444,8 +511,8 @@ def test_elimination_inverts_only_the_pivots_it_uses_and_never_multiplies_by_zer
 def test_gram_exhaustion_reports_the_last_precision_tried(monkeypatch):
     tried = []
 
-    def always_exhausted(gram):
-        tried.append(gram[0][0].ring.prec)
+    def always_exhausted(ring, rows):
+        tried.append(ring.prec)
         raise PrecisionExhausted("no certified pivot")
 
     monkeypatch.setattr(quadform, "_diagonalize_symmetric", always_exhausted)
@@ -497,18 +564,18 @@ def test_tensor_entries_match_the_per_entry_trace_formula():
         prec = 4 + sum(abs(f.c.val) // f.c.field.e + 2 for f in d.factors)
         p, pN = d.base.base_p, d.base.base_p**prec
         for factor in d.factors:
-            gram = _gram_matrix(factor, prec)
+            base_ring, gram = _gram_matrix(factor, prec)
+            assert base_ring is ring_for(d.base, prec)
             ring = ring_for(factor.c.field, prec)
             c0 = gen.random_parts(ring, rng)[0]
             rand = TruncatedElement(factor.c.field, ring, ring.parts(c0))
             for (i, j), rows in quadform._trace_form_tensor(factor.c.field, prec).items():
                 assert _entry_by_products(rand, i, j) == (tuple(sum(map(mul, r, c0)) % pN for r in rows), 0)
                 coords, shift = _entry_by_products(tr_lift(factor.c, prec), i, j)
-                got = gram[i][j]
-                assert got.field == d.base and got.ring is ring_for(d.base, prec)
-                common = max(shift, got.shift)
+                got, got_shift = gram[i][j]
+                common = max(shift, got_shift)
                 want = [w * p ** (common - shift) % pN for w in coords]
-                have = [w * p ** (common - got.shift) % pN for w in got.parts[0]]
+                have = [w * p ** (common - got_shift) % pN for w in got]
                 assert [w % p ** (prec - 1) for w in have] == [w % p ** (prec - 1) for w in want]
                 compared += 1
                 identical += have == want
