@@ -584,42 +584,10 @@ def tr_add(x: TruncatedElement, y: TruncatedElement) -> TruncatedElement:
     return TruncatedElement(x.field, x.ring, tuple(map(x.ring.uadd, x.parts, y.parts)), s)
 
 
-def tr_sub(x: TruncatedElement, y: TruncatedElement) -> TruncatedElement:
-    x, y, s = _align(x, y)
-    return TruncatedElement(x.field, x.ring, tuple(map(x.ring.usub, x.parts, y.parts)), s)
-
-
 def tr_mul(x: TruncatedElement, y: TruncatedElement) -> TruncatedElement:
     if x.field != y.field or x.ring is not y.ring:
         raise FieldMismatch("truncated elements on different fields")
     return _product(x, y)
-
-
-def tr_inv(x: TruncatedElement) -> TruncatedElement:
-    """Inverse of a certified-nonzero element."""
-    ring = x.ring
-    v = x.val()
-    if v % ring.e:
-        # y = x*t has even valuation and 1/x = t * (1/y) since t^2 = p
-        return _mul_base_power(tr_inv(_mul_base_power(x, 1)), 1)
-    # strip p^k to a unit u and invert it as conj(u) / Nm(u), conj: t -> -t
-    pk = ring.p ** (v // ring.e + x.shift)
-    u = TruncatedElement(x.field, ring, tuple([tuple([c // pk for c in w]) for w in x.parts]), 0)
-    conj = _t_negated(u)
-    norm_inv = ring.uinv(_product(u, conj).parts[0])
-    inv = TruncatedElement(x.field, ring, tuple([ring.umul(w, norm_inv) for w in conj.parts]), 0)
-    return _mul_base_power(inv, -v)
-
-
-def _mul_base_power(x: TruncatedElement, v: int) -> TruncatedElement:
-    """Multiply by pi_L^v where pi_L is the canonical uniformizer of L."""
-    ring = x.ring
-    if v % ring.e:
-        x = _product(x, TruncatedElement(x.field, ring, ring.parts(ring.uone(), 1), 0))
-        v -= 1
-    k = v // ring.e
-    parts = tuple([ring.uscale(u, ring.p**k) for u in x.parts]) if k > 0 else x.parts
-    return _normalized(TruncatedElement(x.field, ring, parts, x.shift - min(k, 0)))
 
 
 def tr_conj(x: TruncatedElement) -> TruncatedElement:

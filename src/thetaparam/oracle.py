@@ -29,12 +29,19 @@ from .localfield import (
     STEP_UNRAMIFIED,
     LeadingTerm,
     TruncatedElement,
+    _align,
+    _normalized,
+    _product,
+    _t_negated,
+    is_norm,
+    lt_inv,
+    lt_mul,
     ring_for,
     tr_add,
     tr_lift,
     tr_mul,
 )
-from .torusdata import FiniteTorusDatum
+from .torusdata import Factor, FiniteTorusDatum
 
 # ---------------------------------------------------------------------------
 # brute-force solubility oracle
@@ -114,6 +121,107 @@ def tr_trace_to_base(x: TruncatedElement) -> TruncatedElement:
     ring = x.ring
     acc = ring.automorphism_sum(x.parts[0], tuple(range(0, ring.d, x.field.base_f)))
     return TruncatedElement(x.field, ring, ring.parts(ring.uscale(acc, ring.e)), x.shift)
+
+
+# ---------------------------------------------------------------------------
+# truncated subtraction and inversion: the reference of the Gram kernel's
+# pair steps
+
+
+def tr_sub(x: TruncatedElement, y: TruncatedElement) -> TruncatedElement:
+    x, y, s = _align(x, y)
+    return TruncatedElement(x.field, x.ring, tuple(map(x.ring.usub, x.parts, y.parts)), s)
+
+
+def tr_inv(x: TruncatedElement) -> TruncatedElement:
+    """Inverse of a certified-nonzero element."""
+    ring = x.ring
+    v = x.val()
+    if v % ring.e:
+        # y = x*t has even valuation and 1/x = t * (1/y) since t^2 = p
+        return _mul_base_power(tr_inv(_mul_base_power(x, 1)), 1)
+    # strip p^k to a unit u and invert it as conj(u) / Nm(u), conj: t -> -t
+    pk = ring.p ** (v // ring.e + x.shift)
+    u = TruncatedElement(x.field, ring, tuple([tuple([c // pk for c in w]) for w in x.parts]), 0)
+    conj = _t_negated(u)
+    norm_inv = ring.uinv(_product(u, conj).parts[0])
+    inv = TruncatedElement(x.field, ring, tuple([ring.umul(w, norm_inv) for w in conj.parts]), 0)
+    return _mul_base_power(inv, -v)
+
+
+def _mul_base_power(x: TruncatedElement, v: int) -> TruncatedElement:
+    """Multiply by pi_L^v where pi_L is the canonical uniformizer of L."""
+    ring = x.ring
+    if v % ring.e:
+        x = _product(x, TruncatedElement(x.field, ring, ring.parts(ring.uone(), 1), 0))
+        v -= 1
+    k = v // ring.e
+    parts = tuple([ring.uscale(u, ring.p**k) for u in x.parts]) if k > 0 else x.parts
+    return _normalized(TruncatedElement(x.field, ring, parts, x.shift - min(k, 0)))
+
+
+# ---------------------------------------------------------------------------
+# the factor relation of datum equivalence, pair by pair
+
+
+def tower_isos(factor: Factor):
+    """F-isomorphisms of the factor tower at descriptor level.
+
+    Unramified step: the 2m Frobenius twists.  Ramified step: m Frobenius
+    twists times the sign of the uniformizer square root.
+    """
+    if factor.step == STEP_UNRAMIFIED:
+        return [(j, 1) for j in range(2 * factor.m)]
+    return [(j, s) for j in range(factor.m) for s in (1, -1)]
+
+
+def apply_iso(lt: LeadingTerm, iso, q: int) -> LeadingTerm:
+    j, sign = iso
+    res = lt.residue ** (q**j)
+    if sign == -1 and lt.val % 2:
+        res = -res
+    return lt.with_residue(res)
+
+
+def _iso_matches_c(fa: Factor, fb: Factor, iso, q: int) -> bool:
+    moved = apply_iso(fa.c, iso, q)
+    ratio = lt_mul(moved, lt_inv(fb.c))
+    return is_norm(ratio)
+
+
+def _iso_matches_character(fa: Factor, fb: Factor, iso, q: int) -> bool:
+    j, _ = iso
+    mod = fa.chi0_modulus(q)
+    if (fa.chi0 * q**j - fb.chi0) % mod != 0:
+        return False
+    if len(fa.gamma_levels) != len(fb.gamma_levels):
+        return False
+    for (ra, ga), (rb, gb) in zip(fa.gamma_levels, fb.gamma_levels):
+        if ra != rb:
+            return False
+        moved = apply_iso(ga, iso, q)
+        if moved.val != gb.val or moved.residue != gb.residue:
+            return False
+    return True
+
+
+def factor_pair_equivalent(fa: Factor, fb: Factor, q: int, mode: str) -> bool:
+    """Whether some tower isomorphism of fa carries c into the norm class of
+    fb's c and moves fa's character data onto fb's (mode 'strict'), or one
+    isomorphism does the first and another the second (mode 'weyl'): the
+    factor relation that torusdata decides by one class key per factor."""
+    if fa.m != fb.m or fa.step != fb.step:
+        return False
+    isos = tower_isos(fa)
+    if mode == "strict":
+        return any(
+            _iso_matches_c(fa, fb, iso, q) and _iso_matches_character(fa, fb, iso, q)
+            for iso in isos
+        )
+    # up to Weyl conjugacy the character may be twisted independently of c
+    return any(_iso_matches_c(fa, fb, iso, q) for iso in isos) and any(
+        _iso_matches_character(fa, fb, iso, q) for iso in isos
+    )
 
 
 # ---------------------------------------------------------------------------

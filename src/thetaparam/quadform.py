@@ -269,7 +269,7 @@ def _pair_val(ring, x):
 
 def _pair_sum(ring, x, y, sign):
     """x + sign * y at the larger shift, not normalized, as tr_add (sign 1)
-    and tr_sub (sign -1)."""
+    and oracle.tr_sub (sign -1)."""
     (a, s), (b, t) = x, y
     if s < t:
         a, s = [u * ring.p ** (t - s) for u in a], t
@@ -286,8 +286,8 @@ def _pair_mul(ring, x, y):
 
 
 def _pair_inv(ring, x):
-    """1 / x for a certified-nonzero x, as tr_inv: the inverse of its unit
-    part (unique mod p^N), times p^-v; zero when -v >= N."""
+    """1 / x for a certified-nonzero x, as oracle.tr_inv: the inverse of its
+    unit part (unique mod p^N), times p^-v; zero when -v >= N."""
     coeffs, shift = x
     p, pN = ring.p, ring.pN
     k = valp_coeffs(coeffs, p, pN)

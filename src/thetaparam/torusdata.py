@@ -15,6 +15,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .errors import DomainError
+from .finitefield import fq_is_square
 from .localfield import (
     STEP_RAMIFIED,
     STEP_UNRAMIFIED,
@@ -24,9 +25,7 @@ from .localfield import (
     TameFieldDescriptor,
     factor_field,
     flag_consistent,
-    is_norm,
-    lt_inv,
-    lt_mul,
+    lt_neg,
 )
 from .value import Record, Value, set_field
 
@@ -291,79 +290,66 @@ def block_decompose(datum: TorusDatum) -> BlockDecomposition:
 # equivalence
 
 
-def _tower_isos(factor: Factor):
-    """F-isomorphisms of the factor tower at descriptor level.
+def _norm_class(c: LeadingTerm, step: str):
+    """c modulo the norms of the step, split from is_norm(c / c') so that c
+    and c' share it exactly when their ratio is a norm: val mod 2 on an
+    unramified step; on a ramified step val mod 2 and whether
+    (-1)^(val // 2) times the residue is a square."""
+    if step == STEP_UNRAMIFIED:
+        return c.val % 2
+    return c.val % 2, fq_is_square(-c.residue if c.val // 2 % 2 else c.residue)
 
-    Unramified step: the 2m Frobenius twists.  Ramified step: m Frobenius
-    twists times the sign of the uniformizer square root.
+
+def _class_key(f: Factor, q: int, mode: str) -> tuple:
+    """The canonical key of f's class: equal keys mean related factors.
+
+    Related means one F-isomorphism of the tower carries c into the norm
+    class of the partner's c and moves the character data (chi0 and the
+    gamma terms) onto the partner's; in weyl mode two isomorphisms may do
+    the two jobs.  The isomorphisms form a group: the 2m Frobenius twists j
+    of an unramified step, or the m twists times the sign of the uniformizer
+    root of a ramified one.  Twist j raises residues to q^j and multiplies
+    chi0 by q^j; the sign negates the residues of odd val.  The key is the
+    minimum over the group of what it moves: of the pair (norm class,
+    character data) in strict mode, of each part alone in weyl mode.
+    Frobenius keeps the norm class, so only the sign moves it.
     """
-    if factor.step == STEP_UNRAMIFIED:
-        return [(j, 1) for j in range(2 * factor.m)]
-    return [(j, s) for j in range(factor.m) for s in (1, -1)]
-
-
-def _apply_iso(lt: LeadingTerm, iso, q: int) -> LeadingTerm:
-    j, sign = iso
-    res = lt.residue ** (q**j)
-    if sign == -1 and lt.val % 2:
-        res = -res
-    return lt.with_residue(res)
-
-
-def _iso_matches_c(fa: Factor, fb: Factor, iso, q: int) -> bool:
-    moved = _apply_iso(fa.c, iso, q)
-    ratio = lt_mul(moved, lt_inv(fb.c))
-    return is_norm(ratio)
-
-
-def _iso_matches_character(fa: Factor, fb: Factor, iso, q: int) -> bool:
-    j, _ = iso
-    mod = fa.chi0_modulus(q)
-    if (fa.chi0 * q**j - fb.chi0) % mod != 0:
-        return False
-    if len(fa.gamma_levels) != len(fb.gamma_levels):
-        return False
-    for (ra, ga), (rb, gb) in zip(fa.gamma_levels, fb.gamma_levels):
-        if ra != rb:
-            return False
-        moved = _apply_iso(ga, iso, q)
-        if moved.val != gb.val or moved.residue != gb.residue:
-            return False
-    return True
-
-
-def _factor_pair_equivalent(fa: Factor, fb: Factor, q: int, mode: str) -> bool:
-    if fa.m != fb.m or fa.step != fb.step:
-        return False
-    isos = _tower_isos(fa)
-    if mode == "strict":
-        return any(
-            _iso_matches_c(fa, fb, iso, q) and _iso_matches_character(fa, fb, iso, q)
-            for iso in isos
-        )
-    # up to Weyl conjugacy the character may be twisted independently of c
-    return any(_iso_matches_c(fa, fb, iso, q) for iso in isos) and any(
-        _iso_matches_character(fa, fb, iso, q) for iso in isos
-    )
-
-
-def _bucket(f: Factor, q: int) -> tuple:
-    """Tower, gamma depths and chi0's orbit under q: related factors share it."""
+    ramified = f.step == STEP_RAMIFIED
+    norm = {1: _norm_class(f.c, f.step)}
+    norm[-1] = _norm_class(lt_neg(f.c), f.step) if ramified and f.c.val % 2 else norm[1]
+    least_norm = min(norm.values())
+    signs = [s for s in ((1, -1) if ramified else (1,)) if mode == "weyl" or norm[s] == least_norm]
     mod = f.chi0_modulus(q)
-    orbit_min = min((f.chi0 * pow(q, j, mod) % mod for j, _ in _tower_isos(f)), default=0)
-    return f.m, f.step, tuple(r for r, _ in f.gamma_levels), orbit_min
+    chi0 = [f.chi0 * pow(q, j, mod) % mod for j in range(f.m if ramified else 2 * f.m)]
+    least_chi0 = min(chi0)
+    moved = []
+    for j, k in enumerate(chi0):
+        if k == least_chi0:
+            twisted = [(g.residue ** q**j, g.val % 2) for _, g in f.gamma_levels]
+            moved += [
+                tuple((-x if s == -1 and odd else x).coeffs for x, odd in twisted) for s in signs
+            ]
+    levels = tuple((r, g.val) for r, g in f.gamma_levels)
+    return f.m, f.step, levels, least_norm, least_chi0, min(moved)
+
+
+def _class_counts(datum: TorusDatum, mode: str) -> Counter:
+    q = datum.base.q_base
+    counts = Counter()
+    for f, n in Counter(datum.factors).items():
+        counts[_class_key(f, q, mode)] += n
+    return counts
 
 
 def datum_equivalent(a: TorusDatum, b: TorusDatum, mode: str = "weyl") -> bool:
     """Equivalence of data: a factor bijection respecting towers such that
     some tower isomorphism carries c into the norm class of its partner and
     transports the character data (exactly for mode='strict', up to the
-    finite Weyl action for mode='weyl', the default).  These isomorphisms
-    form a group acting on c's norm class and on the character data, so the
-    factor pair relation is an orbit relation in both modes (weyl lets one
-    element move c and another the character), and a bijection exists
-    exactly when each class has as many factors in a as in b.  Classes are
-    kept per _bucket, which related factors share.
+    finite Weyl action for mode='weyl', the default).  The factor relation
+    is an orbit relation of the tower isomorphisms, so a bijection exists
+    exactly when each class has as many factors in a as in b: each side's
+    distinct factors are counted by their _class_key, one key per factor,
+    and the counts compared.
     """
     if mode not in ("weyl", "strict"):
         raise DomainError(f"unknown equivalence mode {mode!r}")
@@ -371,14 +357,4 @@ def datum_equivalent(a: TorusDatum, b: TorusDatum, mode: str = "weyl") -> bool:
         raise PolarityMismatch(f"{a.polarity} vs {b.polarity}")
     if a.base != b.base or len(a.factors) != len(b.factors):
         return False
-    buckets = {}  # bucket -> [[representative, count of a minus count of b]]
-    for side, sign in ((a, 1), (b, -1)):
-        for f, count in Counter(side.factors).items():
-            classes = buckets.setdefault(_bucket(f, a.base.q_base), [])
-            for cls in classes:
-                if _factor_pair_equivalent(cls[0], f, a.base.q_base, mode):
-                    cls[1] += sign * count
-                    break
-            else:
-                classes.append([f, sign * count])
-    return all(count == 0 for classes in buckets.values() for _, count in classes)
+    return _class_counts(a, mode) == _class_counts(b, mode)

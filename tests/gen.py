@@ -21,9 +21,11 @@ from thetaparam.localfield import (
     base_field,
     canonical_tau,
     factor_field,
+    lt_mul,
     ring_for,
     square_class,
 )
+from thetaparam.oracle import apply_iso, relative_conjugate
 from thetaparam.quadform import hilbert_class
 from thetaparam.theta import DistinctionWitness, e_descriptor
 from thetaparam.torusdata import (
@@ -145,6 +147,21 @@ def random_mixed_datum(p: int, rng: random.Random, n_max: int = 4) -> TorusDatum
         if validate(datum).ok:
             return datum
     raise RuntimeError("could not draw a valid mixed datum")
+
+
+def norm_rescaled(f, rng: random.Random) -> Factor:
+    """f with c scaled by the norm of a random leading term: an equivalent factor."""
+    y = LeadingTerm(f.c.field, rng.randint(0, 1), random_nonzero(f.c.field.residue_field(), rng))
+    nm = with_sym(lt_mul(y, relative_conjugate(y)), SYM_FIXED)
+    return Factor(f.m, f.step, lt_mul(f.c, nm), f.chi0, f.gamma_levels)
+
+
+def twisted(f, iso, q: int, move_c: bool = True) -> Factor:
+    """f with its character data, and c too when move_c, moved by a tower
+    isomorphism: strictly equivalent to f when move_c, else up to Weyl."""
+    c = apply_iso(f.c, iso, q) if move_c else f.c
+    gammas = tuple((r, apply_iso(g, iso, q)) for r, g in f.gamma_levels)
+    return Factor(f.m, f.step, c, f.chi0 * q ** iso[0] % f.chi0_modulus(q), gammas)
 
 
 def random_orthogonal_datum(p: int, rng: random.Random, n_max: int = 4, f0: int = 1) -> TorusDatum:

@@ -28,15 +28,13 @@ from thetaparam.localfield import (
     square_class,
     tr_add,
     tr_conj,
-    tr_inv,
     tr_lift,
     tr_mul,
-    tr_sub,
     TruncatedElement,
     _make_ring,
     base_coordinates,
 )
-from thetaparam.oracle import relative_conjugate, tr_trace_to_base
+from thetaparam.oracle import relative_conjugate, tr_inv, tr_sub, tr_trace_to_base
 
 import gen
 from gen import leading_term, truncated_int, with_sym

@@ -28,10 +28,8 @@ from thetaparam.localfield import (
     square_class,
     tr_add,
     tr_conj,
-    tr_inv,
     tr_lift,
     tr_mul,
-    tr_sub,
 )
 from thetaparam import quadform
 from thetaparam.quadform import (
@@ -46,7 +44,7 @@ from thetaparam.quadform import (
     orthogonal_sum,
     so_type,
 )
-from thetaparam.oracle import brute_force_hilbert, tr_trace_to_base
+from thetaparam.oracle import brute_force_hilbert, tr_inv, tr_sub, tr_trace_to_base
 from thetaparam.torusdata import Factor, POLARITY_ORTHOGONAL, TorusDatum
 
 import gen

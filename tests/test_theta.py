@@ -46,6 +46,7 @@ from thetaparam.theta import (
     parity_predict,
     witness_violations,
 )
+from thetaparam.oracle import tower_isos
 from thetaparam.torusdata import (
     Factor,
     POLARITY_SYMPLECTIC,
@@ -308,6 +309,30 @@ def test_choice_independence_sample():
         for other in results[1:]:
             assert results[0].target_invariants == other.target_invariants
             assert datum_equivalent(results[0].lifted, other.lifted)
+
+
+def test_lift_respects_equivalence():
+    """lift is defined on equivalence classes: a random mixed datum whose
+    factors are moved by tower isomorphisms, norm-rescaled and shuffled
+    lifts to a datum strictly equivalent to the original's lift, with the
+    same target invariants."""
+    rng = random.Random(707)
+    moved = 0
+    for _ in range(300):
+        p = rng.choice((3, 5, 7))
+        d = gen.random_mixed_datum(p, rng, 3)
+        factors = [
+            gen.norm_rescaled(gen.twisted(f, rng.choice(tower_isos(f)), p), rng)
+            for f in d.factors
+        ]
+        rng.shuffle(factors)
+        e = d.replace_factors(factors)
+        assert validate(e).ok and datum_equivalent(d, e, mode="strict")
+        moved += e != d
+        ours, theirs = lift(d), lift(e)
+        assert datum_equivalent(ours.lifted, theirs.lifted, mode="strict")
+        assert ours.target_invariants == theirs.target_invariants
+    assert moved > 250
 
 
 # -- distinction

@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,7 +17,12 @@ from thetaparam.localfield import (
     factor_field,
     lt_mul,
 )
-from thetaparam.oracle import relative_conjugate, weyl_group_order
+from thetaparam.oracle import (
+    factor_pair_equivalent,
+    relative_conjugate,
+    tower_isos,
+    weyl_group_order,
+)
 from thetaparam import torusdata
 from thetaparam.torusdata import (
     Factor,
@@ -94,13 +101,6 @@ def test_validate_general_position_enforced():
 # -- equivalence
 
 
-def norm_rescaled(f, rng):
-    """f with c scaled by the norm of a random leading term: an equivalent factor."""
-    y = LeadingTerm(f.c.field, rng.randint(0, 1), gen.random_nonzero(f.c.field.residue_field(), rng))
-    nm = gen.with_sym(lt_mul(y, relative_conjugate(y)), SYM_FIXED)
-    return Factor(f.m, f.step, lt_mul(f.c, nm), f.chi0, f.gamma_levels)
-
-
 def test_equivalence_reflexive_and_norm_scaling():
     rng = random.Random(0)
     d = simple_datum()
@@ -126,22 +126,15 @@ def test_equivalence_polarity_mismatch():
         datum_equivalent(d, ortho)
 
 
-def twisted(f, iso, q, move_c=True):
-    """f with its character data, and c too when move_c, moved by a tower
-    isomorphism: strictly equivalent to f when move_c, else up to Weyl."""
-    c = torusdata._apply_iso(f.c, iso, q) if move_c else f.c
-    gammas = tuple((r, torusdata._apply_iso(g, iso, q)) for r, g in f.gamma_levels)
-    return Factor(f.m, f.step, c, f.chi0 * q ** iso[0] % f.chi0_modulus(q), gammas)
-
-
 def twist_pool(p, rng, n_seeds):
     """Factors over Q_p, each with a norm rescaling and two twists by one
     tower isomorphism, of the character data with c and without it."""
     pool = []
     for _ in range(n_seeds):
         f = rng.choice(gen.random_mixed_datum(p, rng, 2).factors)
-        iso = rng.choice(torusdata._tower_isos(f))
-        pool += [f, norm_rescaled(f, rng), twisted(f, iso, p), twisted(f, iso, p, move_c=False)]
+        iso = rng.choice(tower_isos(f))
+        pool += [f, gen.norm_rescaled(f, rng), gen.twisted(f, iso, p),
+                 gen.twisted(f, iso, p, move_c=False)]
     return pool
 
 
@@ -158,47 +151,56 @@ def ramified_equivalent_factors(n):
     ]
 
 
+def distinct_gamma_residue_factors(n, p=10007):
+    """n ramified factors over Q_p that differ only in the residue 1..n of
+    their gamma at r = 1/2: for n < p / 2 each is a class of its own."""
+    lr = factor_field(base_field(p), 1, STEP_RAMIFIED)
+    k = lr.residue_field()
+    c = LeadingTerm(lr, 1, k.one(), SYM_ANTI)
+    gammas = [LeadingTerm(lr, -1, k.element([i]), SYM_ANTI) for i in range(1, n + 1)]
+    return [Factor(1, STEP_RAMIFIED, c, 1, ((Fraction(1, 2), g),)) for g in gammas]
+
+
 @pytest.fixture
-def pair_calls(monkeypatch):
-    """The (fa, fb) arguments of every _factor_pair_equivalent call."""
+def key_calls(monkeypatch):
+    """The factor of every _class_key call."""
     calls = []
-    pair_equivalent = torusdata._factor_pair_equivalent
+    class_key = torusdata._class_key
 
-    def counted(fa, fb, q, mode):
-        calls.append((fa, fb))
-        return pair_equivalent(fa, fb, q, mode)
+    def counted(f, q, mode):
+        calls.append(f)
+        return class_key(f, q, mode)
 
-    monkeypatch.setattr(torusdata, "_factor_pair_equivalent", counted)
+    monkeypatch.setattr(torusdata, "_class_key", counted)
     return calls
 
 
-def test_equivalence_compares_repeated_factors_once(pair_calls):
+def test_equivalence_keys_repeated_factors_once(key_calls):
     d = simple_datum()
     many = d.replace_factors(d.factors * 300)
     assert datum_equivalent(many, many)
-    assert pair_calls == [(d.factors[0], d.factors[0])]
-    pair_calls.clear()
+    assert key_calls == [d.factors[0]] * 2  # one key per side
+    key_calls.clear()
     other = simple_datum(chi0=2).factors[0]
     mixed = d.replace_factors((other,) + d.factors * 299)
     assert not datum_equivalent(many, mixed, mode="strict")
-    assert len(pair_calls) == 1  # the chi0 = 2 factor has a bucket of its own
+    assert Counter(key_calls) == Counter({d.factors[0]: 2, other: 1})
 
 
-def test_equivalence_compares_distinct_equivalent_factors_with_one_representative(pair_calls):
+def test_equivalence_keys_each_distinct_equivalent_factor_once(key_calls):
     """200 distinct, pairwise equivalent factors a side form one class: each
-    factor is compared with its representative, not with every factor of
-    the other side (40,000 calls)."""
+    factor of each side gets one key, and all 200 share it."""
     factors = ramified_equivalent_factors(200)
     a = TorusDatum(BASE5, tuple(factors), POLARITY_SYMPLECTIC)
     assert len(set(factors)) == 200
     assert datum_equivalent(a, a.replace_factors(reversed(factors)))
-    assert len(pair_calls) <= 400
+    assert len(key_calls) == 400
+    assert len({torusdata._class_key(f, 5, "weyl") for f in factors}) == 1
 
 
-def test_equivalence_compares_only_factors_of_one_bucket(pair_calls):
-    """1,000 ramified factors of distinct gamma depths r = 1/2, 3/2, ... lie
-    in 1,000 buckets: against their reverse, each factor of b meets only its
-    partner of a, not every class before it (about 1,000,000 calls)."""
+def test_equivalence_keys_each_factor_of_distinct_depths_once(key_calls):
+    """1,000 ramified factors of distinct gamma depths r = 1/2, 3/2, ...
+    are 1,000 classes: against their reverse, one key per factor a side."""
     lr = factor_field(BASE5, 1, STEP_RAMIFIED)
     one = lr.residue_field().one()
     factors = [
@@ -208,21 +210,56 @@ def test_equivalence_compares_only_factors_of_one_bucket(pair_calls):
     ]
     a = TorusDatum(BASE5, tuple(factors), POLARITY_SYMPLECTIC)
     assert datum_equivalent(a, a.replace_factors(reversed(factors)))
-    assert len(pair_calls) <= 1000
+    assert len(key_calls) == 2000
 
 
-def test_related_factors_share_a_bucket():
-    """The premise of bucketing: every related pair of the twist pools has
-    equal buckets, in both modes."""
-    rng = random.Random(2)
-    for p in (3, 5, 7):
-        pool = twist_pool(p, rng, 4)
-        for mode in ("weyl", "strict"):
-            related = [
-                (x, y) for x in pool for y in pool if torusdata._factor_pair_equivalent(x, y, p, mode)
-            ]
-            assert len(related) > len(pool), (p, mode)
-            assert all(torusdata._bucket(x, p) == torusdata._bucket(y, p) for x, y in related)
+def _python_calls(fn, *args):
+    """fn(*args) and the number of Python function calls it made, after a
+    warm-up call, so that cache misses do not enter the count."""
+    fn(*args)
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        out = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return out, count
+
+
+def test_equivalence_work_is_linear_in_distinct_gamma_residues():
+    """Factors that differ only in a gamma residue share the tower, the
+    gamma depths, chi0 and the norm class of c, so nothing but the residue
+    tells their classes apart: at twice the factors against their reverse,
+    equivalence makes at most 2.2 times the Python calls."""
+    counts = []
+    for n in (250, 500):
+        factors = distinct_gamma_residue_factors(n)
+        a = TorusDatum(base_field(10007), tuple(factors), POLARITY_SYMPLECTIC)
+        verdict, count = _python_calls(datum_equivalent, a, a.replace_factors(reversed(factors)))
+        assert verdict
+        counts.append(count)
+    assert counts[1] <= 2.2 * counts[0], counts
+
+
+def test_class_keys_are_equal_exactly_on_related_factors():
+    """Key equality is the oracle's pair relation on every ordered pair of
+    the twist pools, in both modes, and the relation is not the identity."""
+    for seed in range(6):
+        rng = random.Random(seed)
+        for p in (3, 5, 7):
+            pool = twist_pool(p, rng, 4)
+            for mode in ("weyl", "strict"):
+                keys = [torusdata._class_key(f, p, mode) for f in pool]
+                related = [
+                    [factor_pair_equivalent(x, y, p, mode) for y in pool] for x in pool
+                ]
+                assert sum(map(sum, related)) > len(pool), (seed, p, mode)
+                assert related == [[kx == ky for ky in keys] for kx in keys], (seed, p, mode)
 
 
 @pytest.mark.parametrize("mode", ["weyl", "strict"])
@@ -240,7 +277,7 @@ def test_equivalence_matches_full_matrix_definition_with_repeated_factors(mode):
             fa = [rng.choice(pool) for _ in range(n)]
             fb = [rng.choice(pool) if rng.random() < 0.3 else f for f in rng.sample(fa, n)]
             a, b = (TorusDatum(base, tuple(fs), POLARITY_SYMPLECTIC) for fs in (fa, fb))
-            pair = [[torusdata._factor_pair_equivalent(x, y, p, mode) for y in fb] for x in fa]
+            pair = [[factor_pair_equivalent(x, y, p, mode) for y in fb] for x in fa]
             expected = any(all(pair[i][s[i]] for i in range(n)) for s in itertools.permutations(range(n)))
             assert datum_equivalent(a, b, mode) == expected
             verdicts.add(expected)
@@ -248,15 +285,15 @@ def test_equivalence_matches_full_matrix_definition_with_repeated_factors(mode):
 
 
 def test_equivalence_is_equivalence_relation_on_random_data():
-    """The pair relation is reflexive, symmetric and transitive on pools of
-    twists in both modes (the premise of counting factors per class), and
-    the modes differ at p = 3 and 7, where -1 is not a square."""
+    """The oracle's pair relation is reflexive, symmetric and transitive on
+    pools of twists in both modes (the premise of counting factors per
+    class), and the modes differ at p = 3 and 7, where -1 is not a square."""
     rng = random.Random(1)
     for p in (3, 5, 7):
         pool = twist_pool(p, rng, 4)
         relations = {}
         for mode in ("weyl", "strict"):
-            rel = [[torusdata._factor_pair_equivalent(x, y, p, mode) for y in pool] for x in pool]
+            rel = [[factor_pair_equivalent(x, y, p, mode) for y in pool] for x in pool]
             relations[mode] = rel
             ix = range(len(pool))
             assert all(rel[i][i] for i in ix)
@@ -278,7 +315,7 @@ def test_equivalence_is_equivalence_relation_on_random_data():
             prev = chain[-1]
             i = rng.randrange(len(prev.factors))
             factors = list(prev.factors)
-            factors[i] = norm_rescaled(prev.factors[i], rng)
+            factors[i] = gen.norm_rescaled(prev.factors[i], rng)
             chain.append(prev.replace_factors(factors))
         assert datum_equivalent(chain[0], chain[1])
         assert datum_equivalent(chain[1], chain[2])
