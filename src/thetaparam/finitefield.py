@@ -249,10 +249,18 @@ class FqElement(Value):
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
+        """self^e; for e = p^j (j >= 1) the Frobenius x -> x^(p^j), which is
+        F_p-linear, applied as the cached matrix of _frobenius_rows."""
         if e < 0:
             return self.inverse() ** (-e)
         k = self.field
-        return FqElement(k, _powmod(self.coeffs, e, k.modulus, k.p))
+        p = k.p
+        j = _frobenius_index(e, p)
+        if j:
+            a = self.coeffs
+            rows = _frobenius_rows(k, j % k.f)
+            return FqElement(k, tuple([sum([m * c for m, c in zip(row, a)]) % p for row in rows]))
+        return FqElement(k, _powmod(self.coeffs, e, k.modulus, p))
 
     def inverse(self):
         """Extended Euclid in F_p[x]: s * self = r mod the modulus until r
@@ -278,6 +286,29 @@ class FqElement(Value):
 
     def __repr__(self):
         return f"{list(self.coeffs)} in {self.field}"
+
+
+def _frobenius_index(e: int, p: int) -> int:
+    """j >= 1 with e = p^j, or 0 when e is no such power."""
+    j = 0
+    while e > 1 and e % p == 0:
+        e //= p
+        j += 1
+    return j if e == 1 else 0
+
+
+@lru_cache(maxsize=None)
+def _frobenius_rows(field: FqDescriptor, j: int) -> tuple:
+    """The rows of the f x f matrix over F_p of x -> x^(p^j) on the power
+    basis: column i is the image of x^i, the i-th power of the image of x."""
+    p, f, modulus = field.p, field.f, field.modulus
+    cols = [(1,) + (0,) * (f - 1)]
+    if f > 1:
+        image = _powmod((0, 1) + (0,) * (f - 2), p**j, modulus, p)
+        cols.append(image)
+        for _ in range(f - 2):
+            cols.append(_mulmod(cols[-1], image, modulus, p))
+    return tuple(zip(*cols))
 
 
 def fq_is_square(x: FqElement) -> bool:

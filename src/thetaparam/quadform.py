@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import DomainError
-from .finitefield import _mulmod, _powmod, fq_canonical_nonsquare, fq_embedding, fq_is_square
+from .finitefield import FqElement, _mulmod, _powmod, fq_canonical_nonsquare, fq_embedding, fq_is_square
 from .localfield import (
     SQ_ONE,
     STEP_UNRAMIFIED,
@@ -36,7 +36,6 @@ from .localfield import (
     least_shift,
     minus_one_class,
     ring_for,
-    square_class,
     tr_conj,
     tr_lift,
     tr_mul,
@@ -300,6 +299,22 @@ def _pair_inv(ring, x):
     return tuple([u * scale % pN for u in unit_inv]), 0
 
 
+def _pair_square_class(ring, k_f, x) -> SquareClass:
+    """Square class of the pair x over F, k_f the residue field of F, as
+    square_class of the leading term of TruncatedElement(F, ring, (coeffs,),
+    shift): (val mod 2, whether the leading digit is a non-square), without
+    building either.  Raises PrecisionExhausted when x is zero to working
+    precision."""
+    coeffs, shift = x
+    p = ring.p
+    k = valp_coeffs(coeffs, p, ring.pN)
+    if k == ring.prec:
+        raise PrecisionExhausted("valuation exceeds working precision")
+    pk = p**k
+    residue = FqElement(k_f, tuple([c // pk % p for c in coeffs]))
+    return SquareClass((k - shift) % 2, 0 if fq_is_square(residue) else 1)
+
+
 def _diagonalize_symmetric(ring, rows):
     """Symmetric congruence diagonalization of rows, the pairs of
     _gram_matrix over ring, pivoting on minimal valuation; returns the
@@ -383,9 +398,11 @@ def _diagonalize_symmetric(ring, rows):
 
 def invariants_via_gram(datum) -> QuadInvariants:
     """Gram-oracle route: explicit matrices in the truncated model,
-    diagonalized with precision tracking; restarts with doubled precision
-    on PrecisionExhausted."""
+    diagonalized with precision tracking, each diagonal pair classified by
+    _pair_square_class; restarts with doubled precision on
+    PrecisionExhausted."""
     q = datum.base.q_base
+    k_f = datum.base.residue_field()
     for factor in datum.factors:
         _check_fixed(factor.c)
     start = 4 + sum(abs(f.c.val) // f.c.field.e + 2 for f in datum.factors)
@@ -394,10 +411,7 @@ def invariants_via_gram(datum) -> QuadInvariants:
             classes = []
             for factor in datum.factors:
                 ring, rows = _gram_matrix(factor, prec)
-                classes += (
-                    square_class(TruncatedElement(datum.base, ring, (coeffs,), shift).leading_term())
-                    for coeffs, shift in _diagonalize_symmetric(ring, rows)
-                )
+                classes += (_pair_square_class(ring, k_f, x) for x in _diagonalize_symmetric(ring, rows))
             return _finish(*diagonal_invariants(classes, q), q)
         except PrecisionExhausted:
             pass

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from thetaparam import finitefield
 from thetaparam.errors import DomainError
 from thetaparam.finitefield import (
     DegreeTooLarge,
@@ -238,6 +239,39 @@ def test_is_square_equals_euler_criterion():
     assert 20000 < squares < 25000
     with pytest.raises(ZeroInput):
         fq_is_square(fq_make(5, 8).zero())
+
+
+def test_frobenius_powers_equal_powmod(monkeypatch):
+    """On every element, zero included, of each F_{p^f} with p in {3, 5, 7}
+    and p^f <= 3^6, x ** p^j equals _powmod for j = 0 .. 2f + 1 (so j >= f
+    wraps).  Once the rows are cached, j >= 1 calls no _powmod, while j = 0
+    and mixed exponents such as 2p stay on _powmod."""
+    calls = []
+
+    def counted(a, e, modulus, n):
+        calls.append(e)
+        return _powmod(a, e, modulus, n)
+
+    for p in (3, 5, 7):
+        for f in range(1, 7):
+            if p**f > 3**6:
+                continue
+            k = fq_make(p, f)
+            frobenius = [p**j for j in range(1, 2 * f + 2)]
+            others = [1, 2 * p, p + 1, p * p - 1, 2 * p ** (f + 1)]
+            for e in frobenius:
+                k.gen() ** e  # caches the rows of j mod f
+            calls.clear()
+            monkeypatch.setattr(finitefield, "_powmod", counted)
+            for x in k.elements():
+                want = x.coeffs
+                for e in frobenius:  # _powmod(x, p^j) as the p-th power of _powmod(x, p^(j-1))
+                    want = _powmod(want, p, k.modulus, p)
+                    assert (x**e).coeffs == want
+                for e in others:
+                    assert (x**e).coeffs == _powmod(x.coeffs, e, k.modulus, p)
+            monkeypatch.undo()
+            assert calls == others * k.order
 
 
 def test_pullback_inverts_apply_and_rejects_the_rest():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from thetaparam import finitefield
 from thetaparam.errors import DomainError
 from thetaparam.finitefield import fq_embedding, fq_make
 from thetaparam.localfield import (
@@ -122,6 +123,28 @@ def test_relative_conjugate_involution_and_fixed_points():
         assert flag_consistent(tau_like)
         moved = relative_conjugate(tau_like)
         assert moved == lt_neg(tau_like)
+
+
+def test_flag_consistent_applies_the_frobenius_without_a_product(monkeypatch):
+    """Once the rows of F_{5^8} are cached, the residue test of the fixed
+    and anti flags on an unramified step (x -> x^(5^4)) makes no _mulmod
+    call: the Frobenius is a matrix over F_5, not a square-and-multiply."""
+    field = factor_field(BASE5, 4, STEP_UNRAMIFIED)
+    y = field.residue_field().gen()
+    fixed = LeadingTerm(field, 0, y * y ** field.relative_residue_size, SYM_FIXED)  # the norm of y
+    assert flag_consistent(fixed)
+    calls = []
+    mulmod = finitefield._mulmod
+
+    def counted(*args):
+        calls.append(args)
+        return mulmod(*args)
+
+    monkeypatch.setattr(finitefield, "_mulmod", counted)
+    assert flag_consistent(fixed)
+    assert not flag_consistent(fixed.with_residue(y))
+    assert not flag_consistent(LeadingTerm(field, 0, fixed.residue, SYM_ANTI))
+    assert calls == []
 
 
 def test_no_quadratic_step():

@@ -458,6 +458,40 @@ def test_low_precision_elimination_raises_or_gives_the_transfer_invariants():
     assert raised >= 300 and agreed >= 600
 
 
+def test_pair_square_class_equals_the_truncated_leading_term_class():
+    """Entry by entry, _pair_square_class gives square_class of the leading
+    term of TruncatedElement(F, ring, (coeffs,), shift), on every diagonal of
+    the seeded data above at precisions 1-8.  A pair whose valuation reaches
+    the precision raises PrecisionExhausted, as TruncatedElement.val() does."""
+    rng = random.Random(1)
+    seen = collections.Counter()
+    for i in range(150):
+        f0 = 1 + i % 2
+        d = gen.random_orthogonal_datum((3, 5, 7)[i % 3], rng, 4 if f0 == 1 else 3, f0)
+        k_f = d.base.residue_field()
+        for factor in d.factors:
+            for prec in range(1, 9):
+                ring, rows = _gram_matrix(factor, prec)
+                try:
+                    diag = _diagonalize_symmetric(ring, rows)
+                except PrecisionExhausted:
+                    continue
+                for c, s in diag:
+                    want = square_class(TruncatedElement(d.base, ring, (c,), s).leading_term())
+                    assert quadform._pair_square_class(ring, k_f, (c, s)) == want
+                    seen[want] += 1
+    assert set(seen) == {SQ_ONE, SQ_U, SQ_PI, SQ_UPI} and sum(seen.values()) > 4000
+    for f0, shift in ((1, 0), (2, 3)):
+        base = base_field(5, f0)
+        ring = ring_for(base, 4)
+        zero = ((0,) * f0, shift), ((625,) + (0,) * (f0 - 1), shift)
+        for x in zero:
+            with pytest.raises(PrecisionExhausted):
+                TruncatedElement(base, ring, (x[0],), x[1]).val()
+            with pytest.raises(PrecisionExhausted):
+                quadform._pair_square_class(ring, base.residue_field(), x)
+
+
 def _record_calls(monkeypatch, namespace, inv_name, mul_name, inverses, products):
     """Wrap the inverse and product functions named inv_name and mul_name
     where namespace (a module's dict) looks them up: each inversion appends
