@@ -12,12 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import numbers
+import os
 import random
 import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 
 from . import __version__
 from .errors import DomainError
@@ -158,7 +158,7 @@ def compile_schema(schema: dict):
 
 @lru_cache(maxsize=None)
 def _schema() -> dict:
-    with resources.files("thetaparam.schemas").joinpath("datum.schema.json").open() as fh:
+    with open(os.path.join(os.path.dirname(__file__), "schemas", "datum.schema.json")) as fh:
         return json.load(fh)
 
 

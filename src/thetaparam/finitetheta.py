@@ -34,7 +34,7 @@ from .finitefield import fq_make, fq_norm1_generator
 from .value import Record, Value, set_field
 from .weilchar import BinarySpace, NonIntegralMultiplicity, VerificationFailure
 from .weilchar import _order, binary_space, canonical, class_key, dl_character, groups, multiplication_matrices
-from .weilchar import o2_induced, sl2_classes
+from .weilchar import sl2_classes
 from .weilchar import o2_irreducibles as weil_o2_irreducibles
 
 
@@ -135,10 +135,6 @@ class FiniteDualPair(Value):
         set_field(self, "o2", o2)
         # indices into o2, in the order of powers of the norm-one generator
         set_field(self, "rotations", rotations)
-
-    @property
-    def rotation_order(self) -> int:
-        return len(self.rotations)
 
 
 @lru_cache(maxsize=None)
@@ -335,10 +331,6 @@ def dl_regular_character(q: int, torus: str, exponent: int) -> ClassFunction:
     index = {class_key(g, q): i for i, (g, _) in enumerate(sl2_classes(q))}
     sl2 = dual_pair(q, "-").sl2
     return _class_function(sl2, label, [values[index[class_key(g, q)]] for g in groups(q, "-")[0]])
-
-
-def o2_induced_character(pair: FiniteDualPair, exponent: int) -> ClassFunction:
-    return _class_function(pair.o2, *o2_induced(pair.q, pair.variant, exponent))
 
 
 def o2_irreducibles(pair: FiniteDualPair):

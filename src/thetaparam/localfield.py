@@ -33,7 +33,7 @@ from .finitefield import (
     _powmod,
     fq_canonical_nonsquare,
     fq_embedding,
-    fq_is_square,
+    fq_is_square,  # looked up here by perfbench/spans.py's Tracer.install
     fq_make,
     fq_sqrt,
     span_solver,
@@ -201,10 +201,6 @@ def lt_neg(a: LeadingTerm) -> LeadingTerm:
     return a.with_residue(-a.residue)
 
 
-def lt_inv(a: LeadingTerm) -> LeadingTerm:
-    return LeadingTerm(a.field, -a.val, a.residue.inverse(), a.sym, a.sigma_sym)
-
-
 def residue_sym_ok(residue: FqElement, power: int, sym: str) -> bool:
     """The residue test of a symmetry flag for an involution acting on
     residues as x -> x^power: x^power = x if sym is fixed, -x otherwise."""
@@ -223,26 +219,6 @@ def flag_consistent(a: LeadingTerm) -> bool:
         return residue_sym_ok(a.residue, field.relative_residue_size, a.sym)
     # ramified: fixed elements of L0 have even val, anti elements odd val
     return (a.val % 2 == 0) if a.sym == SYM_FIXED else (a.val % 2 == 1)
-
-
-def is_norm(x: LeadingTerm) -> bool:
-    """Membership of x in Nm_{L/L0}(L^x), for x in L0 (decided at leading order).
-
-    Unramified step: the norm group is exactly the even part of val_{L0}.
-    Ramified step with L = L0(sqrt(w0)): Nm(sqrt(w0)) = -w0, and unit norms
-    have square residue, so x = w0^v u is a norm iff leg(u * (-1)^v) = 1.
-    """
-    field = x.field
-    field._need_step()
-    if field.step == STEP_UNRAMIFIED:
-        if not residue_sym_ok(x.residue, field.relative_residue_size, SYM_FIXED):
-            raise DomainError("is_norm input must lie in L0 (fixed residue)")
-        return x.val % 2 == 0
-    if x.val % 2 != 0:
-        raise DomainError("is_norm input must lie in L0 (even valuation)")
-    v0 = x.val // 2
-    corrected = x.residue if v0 % 2 == 0 else -x.residue
-    return fq_is_square(corrected)
 
 
 class SquareClass(Value):
@@ -272,11 +248,6 @@ SQ_ONE = SquareClass(0, 0)
 SQ_U = SquareClass(0, 1)
 SQ_PI = SquareClass(1, 0)
 SQ_UPI = SquareClass(1, 1)
-
-
-def square_class(x: LeadingTerm) -> SquareClass:
-    """Square class of x with respect to the canonical uniformizer of its field."""
-    return SquareClass(x.val % 2, 0 if fq_is_square(x.residue) else 1)
 
 
 def minus_one_class(q: int) -> SquareClass:
@@ -476,11 +447,6 @@ class TruncatedElement(Value):
         set_field(self, "ring", ring)
         set_field(self, "parts", parts)
         set_field(self, "shift", shift)
-
-    @property
-    def precision(self) -> int:
-        """Absolute precision in val_L units: digits below this are exact."""
-        return self.field.e * (self.ring.prec - self.shift)
 
     def val_or_none(self):
         """L-normalized valuation, or None when zero to working precision:

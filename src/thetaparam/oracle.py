@@ -3,9 +3,11 @@
 Each function recomputes, by a slower and more direct route, something
 that the production path decides in closed form.  Only the test suite
 imports this module; importing the CLI or running a subcommand leaves it
-unloaded.  The Gram route of `quadform` and the truncated model of
-`localfield` are oracles too: they move here once the benchmark's span
-tracer stops patching them by module path (ROADMAP item 1).
+unloaded.  The Gram route of `quadform`, the truncated model of
+`localfield` and `finitetheta` are oracles too: they move here once the
+benchmark's span tracer stops patching them by module path (ROADMAP item
+1).  tests/golden/unreached.txt lists every production function that no
+golden entry calls, with the reason it still sits where it does.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from .errors import DomainError
 from .finitefield import fq_is_square
 from .finitetheta import (
     ClassFunction,
+    FiniteDualPair,
     MatrixGroup,
+    _class_function,
     _order,
     _reduction,
     build_weil_rep,
@@ -27,21 +31,57 @@ from .finitetheta import (
 )
 from .localfield import (
     STEP_UNRAMIFIED,
+    SYM_FIXED,
     LeadingTerm,
+    SquareClass,
     TruncatedElement,
     _align,
     _normalized,
     _product,
     _t_negated,
-    is_norm,
-    lt_inv,
     lt_mul,
+    residue_sym_ok,
     ring_for,
     tr_add,
     tr_lift,
     tr_mul,
 )
 from .torusdata import Factor, FiniteTorusDatum
+from .weilchar import o2_induced
+
+# ---------------------------------------------------------------------------
+# leading-term references: norm membership for torusdata._norm_class, the
+# square class for quadform._pair_square_class and the Hilbert symbol
+
+
+def lt_inv(a: LeadingTerm) -> LeadingTerm:
+    return LeadingTerm(a.field, -a.val, a.residue.inverse(), a.sym, a.sigma_sym)
+
+
+def is_norm(x: LeadingTerm) -> bool:
+    """Membership of x in Nm_{L/L0}(L^x), for x in L0 (decided at leading order).
+
+    Unramified step: the norm group is exactly the even part of val_{L0}.
+    Ramified step with L = L0(sqrt(w0)): Nm(sqrt(w0)) = -w0, and unit norms
+    have square residue, so x = w0^v u is a norm iff leg(u * (-1)^v) = 1.
+    """
+    field = x.field
+    field._need_step()
+    if field.step == STEP_UNRAMIFIED:
+        if not residue_sym_ok(x.residue, field.relative_residue_size, SYM_FIXED):
+            raise DomainError("is_norm input must lie in L0 (fixed residue)")
+        return x.val % 2 == 0
+    if x.val % 2 != 0:
+        raise DomainError("is_norm input must lie in L0 (even valuation)")
+    v0 = x.val // 2
+    corrected = x.residue if v0 % 2 == 0 else -x.residue
+    return fq_is_square(corrected)
+
+
+def square_class(x: LeadingTerm) -> SquareClass:
+    """Square class of x with respect to the canonical uniformizer of its field."""
+    return SquareClass(x.val % 2, 0 if fq_is_square(x.residue) else 1)
+
 
 # ---------------------------------------------------------------------------
 # brute-force solubility oracle
@@ -124,8 +164,13 @@ def tr_trace_to_base(x: TruncatedElement) -> TruncatedElement:
 
 
 # ---------------------------------------------------------------------------
-# truncated subtraction and inversion: the reference of the Gram kernel's
-# pair steps
+# truncated precision, subtraction and inversion: the reference of the Gram
+# kernel's pair steps
+
+
+def tr_precision(x: TruncatedElement) -> int:
+    """Absolute precision in val_L units: digits below this are exact."""
+    return x.field.e * (x.ring.prec - x.shift)
 
 
 def tr_sub(x: TruncatedElement, y: TruncatedElement) -> TruncatedElement:
@@ -289,6 +334,11 @@ def sl2_character_table(q: int):
             values = ints[:, None] * red[0] + (chi_z * sign * key)[:, None] * eta
             chars.append(ClassFunction(sl2, values, f"half[{s},{sign}]"))
     return chars
+
+
+def o2_induced_character(pair: FiniteDualPair, exponent: int) -> ClassFunction:
+    """weilchar.o2_induced on the elements of the pair's O2."""
+    return _class_function(pair.o2, *o2_induced(pair.q, pair.variant, exponent))
 
 
 def decomposition_dimension_check(q: int, variant: str) -> bool:

@@ -167,10 +167,6 @@ class FiniteTorusDatum(Value):
         set_field(self, "entries", entries)  # of m_i
         set_field(self, "exponents", exponents)
 
-    @property
-    def dim(self) -> int:
-        return 2 * sum(self.entries)
-
     def orders(self):
         return tuple(self.q**m + 1 for m in self.entries)
 
@@ -291,9 +287,9 @@ def block_decompose(datum: TorusDatum) -> BlockDecomposition:
 
 
 def _norm_class(c: LeadingTerm, step: str):
-    """c modulo the norms of the step, split from is_norm(c / c') so that c
-    and c' share it exactly when their ratio is a norm: val mod 2 on an
-    unramified step; on a ramified step val mod 2 and whether
+    """c modulo the norms of the step, split from oracle.is_norm(c / c') so
+    that c and c' share it exactly when their ratio is a norm: val mod 2 on
+    an unramified step; on a ramified step val mod 2 and whether
     (-1)^(val // 2) times the residue is a square."""
     if step == STEP_UNRAMIFIED:
         return c.val % 2
@@ -322,10 +318,12 @@ def _class_key(f: Factor, q: int, mode: str) -> tuple:
     mod = f.chi0_modulus(q)
     chi0 = [f.chi0 * pow(q, j, mod) % mod for j in range(f.m if ramified else 2 * f.m)]
     least_chi0 = min(chi0)
+    gammas = [(g.residue, g.val % 2) for _, g in f.gamma_levels]
     moved = []
     for j, k in enumerate(chi0):
         if k == least_chi0:
-            twisted = [(g.residue ** q**j, g.val % 2) for _, g in f.gamma_levels]
+            # twist 0 is the identity
+            twisted = [(x ** q**j, odd) for x, odd in gammas] if j else gammas
             moved += [
                 tuple((-x if s == -1 and odd else x).coeffs for x, odd in twisted) for s in signs
             ]

@@ -23,9 +23,8 @@ from thetaparam.localfield import (
     factor_field,
     lt_mul,
     ring_for,
-    square_class,
 )
-from thetaparam.oracle import apply_iso, relative_conjugate
+from thetaparam.oracle import apply_iso, relative_conjugate, square_class
 from thetaparam.quadform import hilbert_class
 from thetaparam.theta import DistinctionWitness, e_descriptor
 from thetaparam.torusdata import (

@@ -213,9 +213,9 @@ def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _python(code: str, *args: str) -> str:
+def _python(code: str, *args: str, flags: tuple = ()) -> str:
     proc = subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [sys.executable, *flags, "-c", code, *args],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
         text=True,
@@ -229,6 +229,19 @@ def test_cli_import_leaves_numpy_finitetheta_and_jsonschema_unloaded():
         "import thetaparam.cli, sys; "
         "print([m for m in ('numpy', 'thetaparam.finitetheta', 'thetaparam.oracle', 'jsonschema', "
         "'dataclasses', 'hashlib') if m in sys.modules])"
+    )
+    assert loaded.strip() == "[]"
+
+
+def test_cli_and_its_schema_load_under_python_s_without_resource_machinery():
+    """The schema is read from the file next to the CLI module, so under
+    python -S (no site, as on a bare interpreter) importing the CLI and
+    compiling its schema load no resource or archive machinery."""
+    loaded = _python(
+        "import sys; from thetaparam import cli; cli._check(); "
+        "print([m for m in ('importlib.resources', 'pathlib', 'tempfile', 'typing', 'zipfile', "
+        "'numpy', 'jsonschema', 'thetaparam.finitetheta', 'thetaparam.oracle') if m in sys.modules])",
+        flags=("-S",),
     )
     assert loaded.strip() == "[]"
 

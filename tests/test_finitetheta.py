@@ -28,7 +28,6 @@ from thetaparam.finitetheta import (
     dl_regular_character,
     dual_pair,
     normalizer_exponent_actions,
-    o2_induced_character,
     o2_irreducibles,
     theta_multiplicity,
     torus_normalizer_order,
@@ -37,6 +36,7 @@ from thetaparam.finitetheta import (
 from thetaparam.oracle import (
     conjugacy_classes,
     decomposition_dimension_check,
+    o2_induced_character,
     sl2_character_table,
 )
 from thetaparam.weilchar import (
@@ -68,7 +68,7 @@ def test_group_orders(q):
     assert len(plus.sl2.elements) == q * (q * q - 1)
     assert len(plus.o2.elements) == 2 * (q - 1)
     assert len(minus.o2.elements) == 2 * (q + 1)
-    assert plus.rotation_order == q - 1 and minus.rotation_order == q + 1
+    assert len(plus.rotations) == q - 1 and len(minus.rotations) == q + 1
 
 
 @pytest.mark.parametrize("q", [3, 5])
@@ -364,7 +364,7 @@ def test_characters_are_class_functions(q):
     chars += [dl_regular_character(q, "split", a) for a in range(1, q - 1) if (2 * a) % (q - 1)]
     for variant in ("+", "-"):
         pair = dual_pair(q, variant)
-        chars += [o2_induced_character(pair, k) for k in range(1, pair.rotation_order // 2)]
+        chars += [o2_induced_character(pair, k) for k in range(1, len(pair.rotations) // 2)]
     for chi in chars:
         for cl in conjugacy_classes(chi.group):
             assert (chi.values[cl] == chi.values[cl[0]]).all(), chi.label
@@ -376,7 +376,7 @@ def test_o2_characters(q):
         pair = dual_pair(q, variant)
         irr = o2_irreducibles(pair)
         # count: 4 linear plus (n - 2) / 2 induced
-        n = pair.rotation_order
+        n = len(pair.rotations)
         assert len(irr) == 4 + (n - 2) // 2
         _orthogonality(irr, pair.o2, _order(q))
         # sum of squares of degrees = |O|

@@ -25,7 +25,6 @@ from thetaparam.localfield import (
     TruncatedElement,
     base_coordinates,
     ring_for,
-    square_class,
     tr_add,
     tr_conj,
     tr_lift,
@@ -44,7 +43,7 @@ from thetaparam.quadform import (
     orthogonal_sum,
     so_type,
 )
-from thetaparam.oracle import brute_force_hilbert, tr_inv, tr_sub, tr_trace_to_base
+from thetaparam.oracle import brute_force_hilbert, square_class, tr_inv, tr_sub, tr_trace_to_base
 from thetaparam.torusdata import Factor, POLARITY_ORTHOGONAL, TorusDatum
 
 import gen

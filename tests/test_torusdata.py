@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from thetaparam.finitefield import FqElement
 from thetaparam.localfield import (
     STEP_RAMIFIED,
     STEP_UNRAMIFIED,
@@ -262,6 +263,26 @@ def test_class_keys_are_equal_exactly_on_related_factors():
                 assert related == [[kx == ky for ky in keys] for kx in keys], (seed, p, mode)
 
 
+def test_class_keys_raise_gamma_residues_to_frobenius_powers_only(monkeypatch):
+    """Twist j raises gamma residues to q^j; twist 0 is the identity, so on
+    gamma-carrying factors _class_key asks __pow__ for no exponent 1, which
+    square-and-multiply would take in place of the cached Frobenius map."""
+    pool = [f for seed in range(6) for p in (3, 5, 7)
+            for f in twist_pool(p, random.Random(seed), 4) if f.gamma_levels]
+    exponents = Counter()
+    power = FqElement.__pow__
+
+    def counted(x, e):
+        exponents[e] += 1
+        return power(x, e)
+
+    monkeypatch.setattr(FqElement, "__pow__", counted)
+    for f in pool:
+        for mode in ("weyl", "strict"):
+            torusdata._class_key(f, f.c.field.q_base, mode)
+    assert sum(exponents.values()) > 0 and exponents[1] == 0, exponents
+
+
 @pytest.mark.parametrize("mode", ["weyl", "strict"])
 def test_equivalence_matches_full_matrix_definition_with_repeated_factors(mode):
     """Draw both sides from a small pool of twists and norm rescalings (so
@@ -367,7 +388,7 @@ def test_residue_reduction_parity_split():
     r1, r2 = residue_reduction(datum)
     assert r1.entries == (1,) and r2.entries == (1,)
     assert r1.exponents == (1,) and r2.exponents == (2,)
-    assert r1.dim + r2.dim == 2 * datum.n
+    assert sum(r1.entries) + sum(r2.entries) == datum.n
 
 
 def test_residue_reduction_normalizes_high_valuations():
@@ -392,7 +413,7 @@ def test_dims_add_on_random_data():
     for _ in range(40):
         d = gen.random_depth_zero_datum(rng.choice([5, 7]), rng, 4)
         r1, r2 = residue_reduction(d)
-        assert r1.dim + r2.dim == 2 * d.n
+        assert sum(r1.entries) + sum(r2.entries) == d.n
 
 
 # -- Weyl orbits and general position
