@@ -4,7 +4,10 @@ Exit codes: 0 on success (a negative verdict is still a success), 1 on a
 domain error (the error is serialized into the report), 2 on schema or IO
 problems.  Reports are byte-identical across runs for identical inputs:
 keys are sorted, rational depths are printed as "num/den" strings, and no
-floating point reaches the output.
+floating point reaches the output.  One indent-2 encoder (`_render`) writes
+every report, with the bytes of json.dumps(report, sort_keys=True, indent=2)
+but on json's C string quoter: any indent sends json.dumps itself to its
+pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -514,11 +517,60 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_quote = json.encoder.encode_basestring_ascii  # json's own C string quoter
+_NEWLINES = ["\n"]  # depth d -> a newline and 2*d spaces, grown on demand
+
+
+def _encode(value, depth: int, out: list) -> None:
+    """Append value at nesting depth `depth` to out, as the chunks of
+    json.dumps(value, sort_keys=True, indent=2).  Any type that a report
+    does not hold (a float, a set, bytes, a non-str key) is a TypeError."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))  # ValueError past sys.get_int_max_str_digits()
+    elif isinstance(value, (dict, list, tuple)):
+        brackets = "{}" if isinstance(value, dict) else "[]"
+        if not value:
+            out.append(brackets)
+            return
+        if len(_NEWLINES) < depth + 2:
+            _NEWLINES.append(_NEWLINES[-1] + "  ")
+        inner = _NEWLINES[depth + 1]
+        out.append(brackets[0])
+        if brackets == "{}":
+            for key in sorted(value):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                out += (inner, _quote(key), ": ")
+                _encode(value[key], depth + 1, out)
+                out.append(",")
+        else:
+            for item in value:
+                out.append(inner)
+                _encode(item, depth + 1, out)
+                out.append(",")
+        out[-1] = _NEWLINES[depth] + brackets[1]  # in place of the last ","
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _render(report: dict) -> str:
+    """The report as json.dumps(report, sort_keys=True, indent=2) writes
+    it, plus a newline."""
+    out = []
     try:
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        _encode(report, 0, out)
     except ValueError as ex:  # an int longer than sys.get_int_max_str_digits()
         raise DomainError(f"the report cannot be written: {ex}") from None
+    out.append("\n")
+    return "".join(out)
 
 
 def _emit(text: str, out_path: str | None):

@@ -177,8 +177,9 @@ class FqDescriptor(Value):
         return self.p**self.f
 
     def element(self, coeffs) -> "FqElement":
-        c = list(coeffs)[: self.f] + [0] * max(0, self.f - len(coeffs))
-        return FqElement(self, tuple(x % self.p for x in c))
+        p, f = self.p, self.f
+        c = [x % p for x in coeffs[:f]]
+        return FqElement(self, tuple(c + [0] * (f - len(c))))
 
     def zero(self) -> "FqElement":
         return self.element([])
@@ -281,7 +282,7 @@ class FqElement(Value):
         return self ** self.field.p
 
     def _check(self, other):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise DomainError("elements of different fields")
 
     def __repr__(self):

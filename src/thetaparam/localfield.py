@@ -168,7 +168,8 @@ class LeadingTerm(Value):
     ):
         if residue.is_zero():
             raise DomainError("leading term needs a nonzero residue")
-        if residue.field != field.residue_field():
+        k = field.residue_field()
+        if residue.field is not k and residue.field != k:
             raise FieldMismatch("residue lives in the wrong field")
         set_field(self, "field", field)
         set_field(self, "val", val)
@@ -185,7 +186,7 @@ class LeadingTerm(Value):
 
 
 def lt_mul(a: LeadingTerm, b: LeadingTerm) -> LeadingTerm:
-    if a.field != b.field:
+    if a.field is not b.field and a.field != b.field:
         raise FieldMismatch(f"{a.field} != {b.field}")
     return LeadingTerm(
         a.field,

@@ -13,10 +13,12 @@ import pytest
 
 from thetaparam import cli
 from thetaparam.cli import datum_to_json, load_document, main, parse_datum
+from thetaparam.errors import DomainError
 from thetaparam.quadform import QuadInvariants, invariants_of_orthogonal_datum
 from thetaparam.localfield import SQ_U
 
 import gen
+from test_golden import CORPUS
 
 DEPTH_ZERO = {
     "base": {"p": 5, "f": 1},
@@ -712,3 +714,79 @@ def test_validate_applies_the_witness_checks(tmp_path):
     assert rep["result"]["violations"] == ["factor 0: c is not declared and consistent sigma-fixed"]
     code, rep = run_cli(["distinguish", path], tmp_path)
     assert code == 1 and rep["kind"] == "InvalidWitness"
+
+
+# cli._render: one indent-2 encoder that must write json.dumps's bytes
+
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def test_render_equals_json_dumps_on_every_golden_report(tmp_path, monkeypatch):
+    reports = []
+    render = cli._render
+    monkeypatch.setattr(cli, "_render", lambda report: reports.append(report) or render(report))
+    for k, entry in enumerate(CORPUS):
+        paths = []
+        for i, text in enumerate(entry["docs"]):
+            path = tmp_path / f"doc{k}_{i}.json"
+            path.write_text(text)
+            paths.append(str(path))
+        main(["--out", str(tmp_path / "report.json"), *[a.format(*paths) for a in entry["argv"]]])
+    assert len(reports) == len(CORPUS)
+    for report in reports:
+        assert render(report) == _dumps(report)
+
+
+_CHARS = 'az"\\/\x00\x01\x1f\x7f\b\f\n\r\té€ \U0001f600 :,{}[]'
+
+
+def _random_value(rng, depth):
+    kind = rng.randrange(10 if depth < 4 else 6)
+    if kind == 0:
+        return rng.choice([True, False, None])
+    if kind == 1:
+        return rng.choice([-1, 1]) * rng.getrandbits(rng.choice([1, 8, 64, 10_000]))
+    if kind in (2, 3):
+        return "".join(rng.choice(_CHARS) for _ in range(rng.randrange(6)))
+    if kind in (4, 5):
+        return rng.randrange(-5, 50)
+    if kind in (6, 7):
+        keys = ["".join(rng.choice(_CHARS) for _ in range(rng.randrange(5))) for _ in range(rng.randrange(5))]
+        return {key: _random_value(rng, depth + 1) for key in keys}
+    items = [_random_value(rng, depth + 1) for _ in range(rng.randrange(5))]
+    return items if kind == 8 else tuple(items)
+
+
+def test_render_equals_json_dumps_on_seeded_random_values():
+    rng = random.Random(3232)
+    values = [_random_value(rng, 0) for _ in range(2500)]
+    values += [{}, [], (), {"": {}, "a": [[], {}, ()]}, [[[[]]]], {"x": {"y": {"z": {}}}}]
+    assert {type(v) for v in values} == {bool, type(None), int, str, dict, list, tuple}
+    for value in values:
+        assert cli._render(value) == _dumps(value)
+
+
+@pytest.mark.parametrize("value", [{"a": 1.5}, {"a": [{1, 2}]}, {"a": b"x"}, {"a": {1: "b"}}, 0.0],
+                         ids=["float", "set", "bytes", "non-str-key", "top-level-float"])
+def test_render_rejects_a_type_that_no_report_holds(value):
+    with pytest.raises(TypeError):
+        cli._render(value)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="the interpreter has no int-string digit limit")
+def test_render_past_the_int_string_digit_limit_keeps_the_domain_error_text(tmp_path, capsys, monkeypatch):
+    """The lift of c.val = 4,300 nines (by default) has an int past the
+    limit: the DomainError text is the one json.dumps's ValueError gives."""
+    reports = []
+    render = cli._render
+    monkeypatch.setattr(cli, "_render", lambda report: reports.append(report) or render(report))
+    doc = json.loads(json.dumps(DEPTH_ZERO))
+    doc["factors"][0]["c"]["val"] = int("9" * sys.get_int_max_str_digits())
+    assert main(["lift", write(tmp_path, doc)]) == 1
+    with pytest.raises(ValueError) as ex:
+        _dumps(reports[0])
+    assert json.loads(capsys.readouterr().out)["error"] == f"the report cannot be written: {ex.value}"
+    with pytest.raises(DomainError, match="the report cannot be written: "):
+        render({"a": [1, 1 - 10 ** (sys.get_int_max_str_digits() + 1)]})

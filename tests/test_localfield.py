@@ -86,6 +86,29 @@ def test_lt_mul_field_mismatch():
         lt_mul(canonical_tau(L5U), leading_term(BASE5, 0, [1]))
 
 
+def test_field_checks_compare_by_identity_then_by_value():
+    """FqElement._check, LeadingTerm and lt_mul accept the same field object
+    at once and an equal one after comparing fields; a directly built F_25
+    with another modulus, or a residue of another field, is still rejected."""
+    k = fq_make(5, 2)
+    moduli = [(a, b, 1) for a in range(5) for b in range(5) if finitefield._is_irreducible((a, b, 1), 5)]
+    other = finitefield.FqDescriptor(5, 2, next(m for m in moduli if m != k.modulus))
+    x, y = k.element([1, 2]), other.element([1, 2])
+    for op in (lambda: x + y, lambda: x * y, lambda: y + x, lambda: y * x):
+        with pytest.raises(DomainError, match="elements of different fields"):
+            op()
+    twin = finitefield.FqDescriptor(5, 2, k.modulus)
+    assert twin is not k and twin.element([3, 4]) + x == k.element([4, 1])
+    assert twin.element([3, 4]) * x == k.element([3, 4]) * x
+    for residue in (y, fq_make(5, 1).one(), fq_make(7, 2).one()):
+        with pytest.raises(FieldMismatch, match="residue lives in the wrong field"):
+            LeadingTerm(L5U, 0, residue)
+    c = LeadingTerm(L5U, 1, twin.element([3, 4]), SYM_NONE)
+    assert lt_mul(c, LeadingTerm(L5U, 0, x)).residue == k.element([3, 4]) * x
+    with pytest.raises(FieldMismatch):
+        lt_mul(c, LeadingTerm(factor_field(BASE5, 2, STEP_UNRAMIFIED), 0, fq_make(5, 4).one()))
+
+
 def test_neg_inv():
     a = leading_term(L5U, 2, [3, 1], sym=SYM_NONE)
     assert lt_neg(lt_neg(a)) == a
